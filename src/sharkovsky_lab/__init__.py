@@ -10,6 +10,7 @@ each tail of the forcing order.
 from .errors import (
     BadClampBounds,
     BudgetError,
+    CertificationFailed,
     EvenPeriod,
     InvalidPattern,
     NoLeastPeriodWitness,

@@ -8,7 +8,8 @@ strings.  Exit codes: 0 on success, 2 on usage or precondition errors,
 budget).
 
 Budgets come from ``--piece-budget`` / ``--walk-budget``, with environment
-overrides SHARKOVSKY_PIECE_BUDGET and SHARKOVSKY_WALK_BUDGET.
+overrides SHARKOVSKY_PIECE_BUDGET and SHARKOVSKY_WALK_BUDGET.  Either way a
+budget must be a positive integer; anything else is a usage error.
 """
 
 from __future__ import annotations
@@ -41,6 +42,16 @@ def _parse_pattern(text: str) -> patterns.CyclicPattern:
     if text.startswith("["):
         return patterns.CyclicPattern(tuple(json.loads(text)))
     return patterns.CyclicPattern.from_cycle_string(text)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
 def _spectrum_rows(entries) -> list[dict]:
@@ -217,17 +228,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sharkovsky",
         description="Exact dynamics of piecewise-linear interval maps.",
     )
+    # string defaults go through the same type check as the flags
     parser.add_argument(
         "--piece-budget",
-        type=int,
-        default=int(os.environ.get("SHARKOVSKY_PIECE_BUDGET", DEFAULT_PIECE_BUDGET)),
+        type=_positive_int,
+        default=os.environ.get("SHARKOVSKY_PIECE_BUDGET", str(DEFAULT_PIECE_BUDGET)),
         help="cap on breakpoints of composed maps (env SHARKOVSKY_PIECE_BUDGET)",
     )
     parser.add_argument(
         "--walk-budget",
-        type=int,
-        default=int(
-            os.environ.get("SHARKOVSKY_WALK_BUDGET", patterns.DEFAULT_WALK_BUDGET)
+        type=_positive_int,
+        default=os.environ.get(
+            "SHARKOVSKY_WALK_BUDGET", str(patterns.DEFAULT_WALK_BUDGET)
         ),
         help="cap on enumerated closed walks (env SHARKOVSKY_WALK_BUDGET)",
     )

@@ -19,6 +19,10 @@ class BudgetError(SharkovskyLabError):
     """An exact enumeration exceeded its configured budget."""
 
 
+class CertificationFailed(SharkovskyLabError):
+    """A computed result failed its exact certificate; this is a bug."""
+
+
 # -- map construction and evaluation ----------------------------------------
 
 class NonMonotoneBreakpoints(PreconditionError):

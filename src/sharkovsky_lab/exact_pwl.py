@@ -23,6 +23,7 @@ from .errors import (
     OutOfDomain,
     PieceBudgetExceeded,
 )
+from .sharkovsky_order import divisors
 
 RationalLike = Union[Fraction, int, str]
 
@@ -42,10 +43,6 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, float):
         raise TypeError("floats are not allowed; use Fraction, int or 'p/q' strings")
     return Fraction(value)
-
-
-def divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 @dataclass(frozen=True)
@@ -165,11 +162,13 @@ class IntervalLoop:
 
 
 # ---------------------------------------------------------------------------
-# raw breakpoint-pair helpers
+# the breakpoint kernel
 #
 # A "pairs" value is a tuple of (x, y) Fractions with strictly increasing x.
-# Unlike PwlMap it need not be a self-map, which is what the restriction
-# and chain-composition steps of the witness machinery require.
+# Unlike PwlMap it need not be a self-map, so a map can be restricted to a
+# window before it is composed.  Only this module knows the format: other
+# modules reach the kernel through PwlMap, fixed_structure_on and
+# level_set_on.
 # ---------------------------------------------------------------------------
 
 Pairs = tuple[tuple[Fraction, Fraction], ...]
@@ -270,13 +269,24 @@ def _restrict(pairs: Pairs, lo: Fraction, hi: Fraction) -> Pairs:
     return _canonical(ends)
 
 
+def _coalesce(spans: Iterable[tuple[Fraction, Fraction]]) -> list[Interval]:
+    """Merge closed spans that touch or overlap into ascending disjoint intervals."""
+    merged: list[list[Fraction]] = []
+    for a, b in sorted(spans):
+        if merged and a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    return [Interval(a, b) for a, b in merged]
+
+
 def _fixed_structure(pairs: Pairs) -> tuple[tuple[Fraction, ...], tuple[Interval, ...]]:
     """Solutions of f(x) = x: isolated points plus maximal identity laps.
 
     Endpoints of identity laps are included among the points.
     """
     pts: set[Fraction] = set()
-    raw_laps: list[tuple[Fraction, Fraction]] = []
+    identity: list[tuple[Fraction, Fraction]] = []
     for (x0, y0), (x1, y1) in _laps(pairs):
         if y0 == y1:
             if x0 <= y0 <= x1:
@@ -285,73 +295,75 @@ def _fixed_structure(pairs: Pairs) -> tuple[tuple[Fraction, ...], tuple[Interval
         slope = (y1 - y0) / (x1 - x0)
         if slope == 1:
             if y0 == x0:
-                raw_laps.append((x0, x1))
+                identity.append((x0, x1))
             continue
         root = (y0 - slope * x0) / (1 - slope)
         if x0 <= root <= x1:
             pts.add(root)
-    raw_laps.sort()
-    merged: list[list[Fraction]] = []
-    for a, b in raw_laps:
-        if merged and a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-    laps = tuple(Interval(a, b) for a, b in merged)
+    laps = tuple(_coalesce(identity))
     for lap in laps:
         pts.add(lap.lo)
         pts.add(lap.hi)
     return tuple(sorted(pts)), laps
 
 
-def _level_hits(pairs: Pairs, c: Fraction) -> list[Interval]:
-    """Maximal closed components of the level set {x : f(x) = c}, ascending."""
-    raw: list[tuple[Fraction, Fraction]] = []
-    for (x0, y0), (x1, y1) in _laps(pairs):
-        if y0 == y1:
-            if y0 == c:
-                raw.append((x0, x1))
-            continue
-        lo, hi = (y0, y1) if y0 < y1 else (y1, y0)
-        if lo <= c <= hi:
-            x = x0 + (c - y0) * (x1 - x0) / (y1 - y0)
-            raw.append((x, x))
-    raw.sort()
-    merged: list[list[Fraction]] = []
-    for a, b in raw:
-        if merged and a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-    return [Interval(a, b) for a, b in merged]
-
-
 def _within_levels(pairs: Pairs, lo: Fraction, hi: Fraction) -> list[Interval]:
-    """Maximal closed components of {x : lo <= f(x) <= hi}, ascending."""
-    raw: list[tuple[Fraction, Fraction]] = []
+    """Maximal closed components of {x : lo <= f(x) <= hi}, ascending.
+
+    With lo == hi this is the level set, one crossing per monotone lap.
+    """
+    level = lo == hi
+    spans: list[tuple[Fraction, Fraction]] = []
     for (x0, y0), (x1, y1) in _laps(pairs):
         if y0 == y1:
             if lo <= y0 <= hi:
-                raw.append((x0, x1))
+                spans.append((x0, x1))
             continue
-        inc = y0 < y1
-        vlo, vhi = (y0, y1) if inc else (y1, y0)
-        a = max(vlo, lo)
-        b = min(vhi, hi)
-        if a > b:
+        vlo, vhi = (y0, y1) if y0 < y1 else (y1, y0)
+        if vhi < lo or hi < vlo:
             continue
-        slope = (y1 - y0) / (x1 - x0)
-        xa = x0 + (a - y0) / slope
-        xb = x0 + (b - y0) / slope
-        raw.append((xa, xb) if xa <= xb else (xb, xa))
-    raw.sort()
-    merged: list[list[Fraction]] = []
-    for a, b in raw:
-        if merged and a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-    return [Interval(a, b) for a, b in merged]
+        run = (x1 - x0) / (y1 - y0)
+        if level:
+            x = x0 + (lo - y0) * run
+            spans.append((x, x))
+            continue
+        a = lo if vlo < lo else vlo
+        b = hi if hi < vhi else vhi
+        xa = x0 + (a - y0) * run
+        xb = x0 + (b - y0) * run
+        spans.append((xa, xb) if xa <= xb else (xb, xa))
+    return _coalesce(spans)
+
+
+def fixed_structure_on(
+    f: "PwlMap",
+    window: Interval,
+    n: int = 1,
+    piece_budget: int = DEFAULT_PIECE_BUDGET,
+) -> tuple[tuple[Fraction, ...], tuple[Interval, ...]]:
+    """Solutions of f^n(x) = x for x in the window: points plus identity laps.
+
+    f is restricted to the window before it is composed, so the work
+    scales with the window's share of the breakpoints.  A degenerate
+    window yields its point when f^n fixes it.
+    """
+    if window.is_degenerate:
+        y = cur = window.lo
+        for _ in range(n):
+            cur = f(cur)
+        return ((y,) if cur == y else ()), ()
+    pairs = _restrict(f.breakpoints, window.lo, window.hi)
+    for _ in range(n - 1):
+        pairs = _compose(f.breakpoints, pairs, piece_budget)
+    return _fixed_structure(pairs)
+
+
+def level_set_on(f: "PwlMap", c: Fraction, window: Interval) -> list[Interval]:
+    """Maximal closed components of {x in window : f(x) = c}, ascending."""
+    if window.is_degenerate:
+        return [window] if f(window.lo) == c else []
+    pairs = _restrict(f.breakpoints, window.lo, window.hi)
+    return _within_levels(pairs, c, c)
 
 
 # ---------------------------------------------------------------------------
@@ -450,15 +462,15 @@ class PwlMap:
             return [Interval(J.lo, J.hi)]
         pairs = _restrict(self.breakpoints, J.lo, J.hi)
         if K.is_degenerate:
-            return _level_hits(pairs, K.lo)
+            return _within_levels(pairs, K.lo, K.lo)
 
         branches: list[Interval] = []
         for comp in _within_levels(pairs, K.lo, K.hi):
             if comp.is_degenerate:
                 continue
             sub = _restrict(pairs, comp.lo, comp.hi)
-            lo_hits = _level_hits(sub, K.lo)
-            hi_hits = _level_hits(sub, K.hi)
+            lo_hits = _within_levels(sub, K.lo, K.lo)
+            hi_hits = _within_levels(sub, K.hi, K.hi)
             if not lo_hits or not hi_hits:
                 continue  # the component does not map onto all of K
             first_lo, last_lo = lo_hits[0].lo, lo_hits[-1].hi
@@ -486,7 +498,7 @@ class PwlMap:
             raise BadClampBounds(f"bounds [{lo}, {hi}] not nested in {dom}")
         cut_xs = {x for x, _ in self.breakpoints}
         for level in (lo, hi):
-            for hit in _level_hits(self.breakpoints, level):
+            for hit in _within_levels(self.breakpoints, level, level):
                 cut_xs.add(hit.lo)
                 cut_xs.add(hit.hi)
         xs = self._xs()
@@ -571,18 +583,26 @@ def fixed_points_of_iterate(
     return FixedPoints(pts, laps)
 
 
+def _trajectory_period(
+    f: PwlMap, y: Fraction, k: int, proper: list[int]
+) -> tuple[list[Fraction], int]:
+    """y, f(y), ..., f^(k-1)(y) and the least period of y, given f^k(y) = y.
+
+    ``proper`` lists the divisors of k below k.
+    """
+    traj = [y]
+    for _ in range(k - 1):
+        traj.append(f(traj[-1]))
+    return traj, next((d for d in proper if traj[d] == y), k)
+
+
 def least_period(f: PwlMap, y: RationalLike, k: int) -> int:
     """The least period of y given that f^k(y) = y (it divides k)."""
     y = as_fraction(y)
-    traj = [y]
-    for _ in range(k):
-        traj.append(f(traj[-1]))
-    if traj[k] != y:
+    traj, period = _trajectory_period(f, y, k, divisors(k)[:-1])
+    if f(traj[-1]) != y:
         raise NotAnOrbit(f"{y} is not fixed by the {k}-th iterate")
-    for d in divisors(k):
-        if traj[d] == y:
-            return d
-    raise AssertionError("unreachable: k divides k")
+    return period
 
 
 def orbit_of(f: PwlMap, y: RationalLike, max_steps: int = 10_000) -> Orbit:
@@ -617,34 +637,18 @@ def point_of_least_period_in_lap(
     if k == 1:
         return lap.lo
     blocked_pts: set[Fraction] = set()
-    blocked_ivs: list[list[Fraction]] = []
+    blocked_spans: list[tuple[Fraction, Fraction]] = []
     for d in divisors(k)[:-1]:
         sub = fixed_points_of_iterate(f, d, piece_budget)
         blocked_pts.update(p for p in sub.points if lap.contains(p))
         for iv in sub.identity_laps:
             inter = iv.intersection(lap)
             if inter is not None:
-                blocked_ivs.append([inter.lo, inter.hi])
-    blocked_ivs.sort()
-    merged: list[list[Fraction]] = []
-    for a, b in blocked_ivs:
-        if merged and a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-    cursor = lap.lo
-    covered = True
-    for a, b in merged:
-        if a > cursor:
-            covered = False
-            break
-        cursor = max(cursor, b)
-    if covered and cursor >= lap.hi and merged:
-        return None
-    boundaries = {lap.lo, lap.hi}
-    boundaries.update(p for p in blocked_pts if lap.contains(p))
-    for a, b in merged:
-        boundaries.update((a, b))
+                blocked_spans.append((inter.lo, inter.hi))
+    merged = _coalesce(blocked_spans)
+    boundaries = {lap.lo, lap.hi} | blocked_pts
+    for iv in merged:
+        boundaries.update((iv.lo, iv.hi))
     ordered = sorted(boundaries)
     candidates: list[Fraction] = []
     for i, b in enumerate(ordered):
@@ -655,7 +659,7 @@ def point_of_least_period_in_lap(
     def blocked(x: Fraction) -> bool:
         if x in blocked_pts:
             return True
-        return any(a <= x <= b for a, b in merged)
+        return any(iv.contains(x) for iv in merged)
 
     for c in candidates:
         if lap.contains(c) and not blocked(c) and least_period(f, c, k) == k:
@@ -673,16 +677,10 @@ def periodic_orbits(
     continuum components rather than enumerated.
     """
     fps = fixed_points_of_iterate(f, k, piece_budget)
+    proper = divisors(k)[:-1]
     orbits: dict[Fraction, Orbit] = {}
     for y in fps.points:
-        traj = [y]
-        for _ in range(k - 1):
-            traj.append(f(traj[-1]))
-        period = k
-        for d in divisors(k)[:-1]:
-            if traj[d] == y:
-                period = d
-                break
+        traj, period = _trajectory_period(f, y, k, proper)
         if period != k:
             continue
         orbit = Orbit(tuple(traj))

@@ -10,12 +10,14 @@ periodic point.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from . import witnesses
 from .errors import (
+    CertificationFailed,
     InvalidPattern,
     NoLeastPeriodWitness,
     NotAWalk,
@@ -42,7 +44,9 @@ class CyclicPattern:
     mapping: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        mapping = tuple(int(v) for v in self.mapping)
+        mapping = tuple(self.mapping)
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in mapping):
+            raise InvalidPattern(f"{list(mapping)} has an entry that is not an integer")
         m = len(mapping)
         if m < 2:
             raise InvalidPattern("a pattern needs at least two points")
@@ -81,19 +85,25 @@ class CyclicPattern:
         return ">".join(str(p) for p in parts)
 
     @classmethod
+    def from_ranks(cls, ranks: Sequence[int]) -> "CyclicPattern":
+        """The pattern visiting the ranks in the listed order: each maps to the next, wrapping."""
+        ranks = list(ranks)
+        m = len(ranks)
+        if sorted(ranks) != list(range(1, m + 1)):
+            raise InvalidPattern(f"{ranks} must list each of 1..{m} exactly once")
+        mapping = [0] * m
+        for a, b in zip(ranks, ranks[1:] + ranks[:1]):
+            mapping[a - 1] = b
+        return cls(tuple(mapping))
+
+    @classmethod
     def from_cycle_string(cls, text: str) -> "CyclicPattern":
         """Parse '1>3>2' style notation: each rank maps to the next, wrapping."""
         try:
             ranks = [int(tok) for tok in text.split(">")]
         except ValueError as exc:
             raise InvalidPattern(f"cannot parse cycle notation {text!r}") from exc
-        m = len(ranks)
-        if sorted(ranks) != list(range(1, m + 1)):
-            raise InvalidPattern(f"{text!r} must list each of 1..{m} exactly once")
-        mapping = [0] * m
-        for a, b in zip(ranks, ranks[1:] + ranks[:1]):
-            mapping[a - 1] = b
-        return cls(tuple(mapping))
+        return cls.from_ranks(ranks)
 
     def __str__(self) -> str:
         return self.cycle_string()
@@ -101,22 +111,12 @@ class CyclicPattern:
 
 def all_patterns(m: int) -> Iterator[CyclicPattern]:
     """Every cyclic pattern on m points ((m-1)! of them), deterministic order."""
-    import itertools
-
     for rest in itertools.permutations(range(2, m + 1)):
-        ranks = (1,) + rest
-        mapping = [0] * m
-        for a, b in zip(ranks, ranks[1:] + ranks[:1]):
-            mapping[a - 1] = b
-        yield CyclicPattern(tuple(mapping))
+        yield CyclicPattern.from_ranks((1,) + rest)
 
 
 def random_pattern(m: int, rng: random.Random) -> CyclicPattern:
-    ranks = [1] + rng.sample(range(2, m + 1), m - 1)
-    mapping = [0] * m
-    for a, b in zip(ranks, ranks[1:] + ranks[:1]):
-        mapping[a - 1] = b
-    return CyclicPattern(tuple(mapping))
+    return CyclicPattern.from_ranks([1] + rng.sample(range(2, m + 1), m - 1))
 
 
 def connect_the_dots(pattern: CyclicPattern) -> PwlMap:
@@ -177,36 +177,44 @@ def iter_closed_walks(graph: MarkovGraph, n: int) -> Iterator[tuple[int, ...]]:
     if n < 1:
         raise ValueError("walk length must be >= 1")
     succ = {i: graph.successors(i) for i in range(1, graph.node_count + 1)}
-
-    def extend(start: int, path: list[int]) -> Iterator[tuple[int, ...]]:
-        if len(path) == n:
-            if graph.has_edge(path[-1], start):
-                walk = tuple(path)
-                if walk == _least_rotation(walk):
-                    yield walk
-            return
-        for nxt in succ[path[-1]]:
-            if nxt >= start:
-                path.append(nxt)
-                yield from extend(start, path)
-                path.pop()
-
     for start in range(1, graph.node_count + 1):
-        yield from extend(start, [start])
+        # depth-first with an explicit stack: stack[j] yields the candidates
+        # for position j of the walk, none below start
+        later = {i: [j for j in s if j >= start] for i, s in succ.items()}
+        path: list[int] = []
+        stack = [iter((start,))]
+        while stack:
+            nxt = next(stack[-1], None)
+            if nxt is None:
+                stack.pop()
+                if path:
+                    path.pop()
+            elif len(path) + 1 < n:
+                path.append(nxt)
+                stack.append(iter(later[nxt]))
+            else:
+                walk = (*path, nxt)
+                if graph.has_edge(nxt, start) and walk == _least_rotation(walk):
+                    yield walk
+
+
+def _budgeted_walks(
+    graph: MarkovGraph, n: int, walk_budget: int
+) -> Iterator[tuple[int, ...]]:
+    """iter_closed_walks, raising when walk number walk_budget + 1 appears."""
+    for tried, walk in enumerate(iter_closed_walks(graph, n), start=1):
+        if tried > walk_budget:
+            raise WalkBudgetExceeded(
+                f"more than {walk_budget} closed walks of length {n}"
+            )
+        yield walk
 
 
 def closed_walks(
     graph: MarkovGraph, n: int, walk_budget: int = DEFAULT_WALK_BUDGET
 ) -> list[tuple[int, ...]]:
     """All closed walks of length n up to rotation, deterministic order."""
-    out = []
-    for walk in iter_closed_walks(graph, n):
-        out.append(walk)
-        if len(out) > walk_budget:
-            raise WalkBudgetExceeded(
-                f"more than {walk_budget} closed walks of length {n}"
-            )
-    return out
+    return list(_budgeted_walks(graph, n, walk_budget))
 
 
 def _node_interval(pattern: CyclicPattern, node: int) -> Interval:
@@ -245,13 +253,7 @@ def _realized_by_walks(
 ) -> bool:
     if k == pattern.size:
         return True  # the pattern's own orbit
-    tried = 0
-    for walk in iter_closed_walks(graph, k):
-        tried += 1
-        if tried > walk_budget:
-            raise WalkBudgetExceeded(
-                f"more than {walk_budget} closed walks of length {k}"
-            )
+    for walk in _budgeted_walks(graph, k, walk_budget):
         loop = IntervalLoop(tuple(_node_interval(pattern, node) for node in walk))
         try:
             witnesses.periodic_point_from_cycle(
@@ -296,7 +298,7 @@ def realized_periods(
                 pattern, f, graph, k, piece_budget, walk_budget
             )
             if direct != walked:
-                raise AssertionError(
+                raise CertificationFailed(
                     f"spectrum routes disagree at period {k} for {pattern}: "
                     f"direct={direct} walks={walked}"
                 )
@@ -326,10 +328,7 @@ def stefan_pattern(m: int) -> CyclicPattern:
     for step in range(1, c):
         order.append(c + step)
         order.append(c - step)
-    mapping = [0] * m
-    for a, b in zip(order, order[1:] + order[:1]):
-        mapping[a - 1] = b
-    return CyclicPattern(tuple(mapping))
+    return CyclicPattern.from_ranks(order)
 
 
 def is_stefan_pattern(pattern: CyclicPattern) -> bool:

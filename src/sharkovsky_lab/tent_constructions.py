@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import NoSuchOrbit, NotAnOrbit
+from .errors import CertificationFailed, NoSuchOrbit, NotAnOrbit
 from .exact_pwl import (
     DEFAULT_PIECE_BUDGET,
     Interval,
@@ -145,7 +145,7 @@ def doubling_chain(
         if orbits:
             prev = orbits[-1].hull
             if not (prev.lo < orbit.minimum and orbit.maximum < prev.hi):
-                raise AssertionError(
+                raise CertificationFailed(
                     f"hull of period-{period} orbit fails to nest strictly"
                 )
         orbits.append(orbit)

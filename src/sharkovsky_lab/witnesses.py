@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .errors import (
+    CertificationFailed,
     EvenPeriod,
     NoLeastPeriodWitness,
     NotACycle,
@@ -34,13 +35,11 @@ from .exact_pwl import (
     IntervalLoop,
     Orbit,
     PwlMap,
-    _compose,
-    _fixed_structure,
-    _level_hits,
-    _restrict,
     as_fraction,
+    fixed_structure_on,
     is_orbit_of,
     least_period,
+    level_set_on,
     orbit_of,
     point_of_least_period_in_lap,
 )
@@ -50,29 +49,16 @@ from .exact_pwl import (
 # ---------------------------------------------------------------------------
 
 
-def _window_pairs(f: PwlMap, window: Interval):
-    if window.is_degenerate:
-        return None
-    return _restrict(f.breakpoints, window.lo, window.hi)
-
-
 def _fixed_in(f: PwlMap, window: Interval) -> tuple[Fraction, ...]:
     """Ascending fixed points of f inside the window (lap endpoints included)."""
-    if window.is_degenerate:
-        return (window.lo,) if f(window.lo) == window.lo else ()
-    pts, _ = _fixed_structure(_window_pairs(f, window))
-    return pts
+    return fixed_structure_on(f, window)[0]
 
 
 def _leftmost_solution(f: PwlMap, level: Fraction, window: Interval) -> Fraction:
     """The leftmost x in the window with f(x) = level; must exist."""
-    if window.is_degenerate:
-        if f(window.lo) == level:
-            return window.lo
-        raise AssertionError(f"no solution of f = {level} in {window}")
-    hits = _level_hits(_window_pairs(f, window), level)
+    hits = level_set_on(f, level, window)
     if not hits:
-        raise AssertionError(f"no solution of f = {level} in {window}")
+        raise CertificationFailed(f"no solution of f = {level} in {window}")
     return hits[0].lo
 
 
@@ -83,16 +69,10 @@ def _leftmost_period2_point(f: PwlMap, window: Interval) -> Fraction:
     be attained; in that case the representative right of the offending
     fixed point is the midpoint toward the lap's end.
     """
-    square = f.iterate(2)
-    if window.is_degenerate:
-        y = window.lo
-        if square(y) == y and f(y) != y:
-            return y
-        raise AssertionError(f"no period-2 point in {window}")
-    pts, laps = _fixed_structure(_window_pairs(square, window))
+    pts, laps = fixed_structure_on(f, window, 2)
     candidates = list(pts)
     for lap in laps:
-        fixed_inside = [p for p in _fixed_in(f, lap)]
+        fixed_inside = _fixed_in(f, lap)
         if fixed_inside:
             # an involution lap holds at most one fixed point of f
             z = fixed_inside[0]
@@ -102,7 +82,7 @@ def _leftmost_period2_point(f: PwlMap, window: Interval) -> Fraction:
     for y in sorted(candidates):
         if f(y) != y:
             return y
-    raise AssertionError(f"no period-2 point in {window}")
+    raise CertificationFailed(f"no period-2 point in {window}")
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +161,9 @@ def period_two_from_crossing(
             left_fixed=left_fixed,
             lower_preimage=lower_preimage,
         )
-    assert f(f(witness.point)) == witness.point and f(witness.point) != witness.point
+    p = witness.point
+    if not (f(f(p)) == p and f(p) != p):
+        raise CertificationFailed(f"{p} is not a point of least period 2")
     return witness
 
 
@@ -215,42 +197,24 @@ def period_two_from_orbit(f: PwlMap, orbit: Orbit) -> PeriodTwoWitness:
 # ---------------------------------------------------------------------------
 
 
-def _branch_chains(
-    f: PwlMap, intervals: tuple[Interval, ...]
-) -> Iterator[list[Interval]]:
-    """All chains (L_0 .. L_{n-1}) with L_i in J_i and f(L_i) = L_{i+1}.
+def _chain_starts(f: PwlMap, intervals: tuple[Interval, ...]) -> Iterator[Interval]:
+    """L_0 of every chain (L_0 .. L_{n-1}) with L_i in J_i and f(L_i) = L_{i+1}.
 
-    Branches are explored leftmost-first at every level of the backward
-    recursion, so the emitted order is deterministic.
+    Here L_n = J_0.  The chains are built backward from L_{n-1} with an
+    explicit stack, leftmost branch first at every level, so the emitted
+    order is deterministic and no recursion limit caps n.
     """
     n = len(intervals)
-
-    def rec(i: int, target: Interval) -> Iterator[list[Interval]]:
-        for branch in f.preimage_branches(intervals[i], target):
-            if i == 0:
-                yield [branch]
-            else:
-                for prefix in rec(i - 1, branch):
-                    yield prefix + [branch]
-
-    yield from rec(n - 1, intervals[0])
-
-
-def _chain_fixed_candidates(
-    f: PwlMap, chain: list[Interval], piece_budget: int
-) -> tuple[tuple[Fraction, ...], tuple[Interval, ...]]:
-    """Fixed points of f^n restricted along the chain's first interval."""
-    first = chain[0]
-    if first.is_degenerate:
-        y = first.lo
-        cur = y
-        for _ in chain:
-            cur = f(cur)
-        return ((y,) if cur == y else ()), ()
-    pairs = _restrict(f.breakpoints, first.lo, first.hi)
-    for _ in range(len(chain) - 1):
-        pairs = _compose(f.breakpoints, pairs, piece_budget)
-    return _fixed_structure(pairs)
+    stack = [iter(f.preimage_branches(intervals[-1], intervals[0]))]
+    while stack:
+        branch = next(stack[-1], None)
+        if branch is None:
+            stack.pop()
+        elif len(stack) == n:
+            yield branch
+        else:
+            level = n - 1 - len(stack)
+            stack.append(iter(f.preimage_branches(intervals[level], branch)))
 
 
 def _itinerary_holds(f: PwlMap, y: Fraction, loop: IntervalLoop) -> bool:
@@ -284,8 +248,8 @@ def periodic_point_from_cycle(
         if not f.covers(J, K):
             raise NotACycle(f"f({J}) does not cover {K} at position {i}")
 
-    for chain in _branch_chains(f, loop.intervals):
-        points, laps = _chain_fixed_candidates(f, chain, piece_budget)
+    for start in _chain_starts(f, loop.intervals):
+        points, laps = fixed_structure_on(f, start, n, piece_budget)
         for y in points:
             if not _itinerary_holds(f, y, loop):
                 continue
@@ -300,7 +264,7 @@ def periodic_point_from_cycle(
         raise NoLeastPeriodWitness(
             f"every branch of the length-{n} cycle has only shorter periods"
         )
-    raise AssertionError("a covering cycle must yield a periodic point")
+    raise CertificationFailed("a covering cycle must yield a periodic point")
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +359,8 @@ def _analyze_oriented(
         v = f(p)
         if v <= x_s:
             return True
-        assert v >= x_s1, "orbit values cannot enter the switch gap"
+        if v < x_s1:
+            raise CertificationFailed("orbit values cannot enter the switch gap")
         return False
 
     straddles = [
@@ -412,7 +377,8 @@ def _analyze_oriented(
     for _ in range(m):
         its.append(f(its[-1]))
     q = next(i for i in range(1, m + 1) if its[i] <= x_t)
-    assert 2 <= q <= m - 1, f"escape time {q} out of range for period {m}"
+    if not 2 <= q <= m - 1:
+        raise CertificationFailed(f"escape time {q} out of range for period {m}")
 
     kwargs = dict(
         map=f,
@@ -428,20 +394,23 @@ def _analyze_oriented(
 
     pre_escape = its[q - 1]
     if pre_escape < x_s:
-        assert pre_escape >= pts[t]
+        if pre_escape < pts[t]:
+            raise CertificationFailed(f"pre-escape point {pre_escape} left of x_(t+1)")
         return OddOrbitTrace(case=TraceCase.PRE_ESCAPE_LEFT, **kwargs)
     if pre_escape == x_s1:
         return OddOrbitTrace(case=TraceCase.PRE_ESCAPE_AT_UPPER, **kwargs)
 
     rebound = next(i for i in range(1, q) if its[i] >= pre_escape)
     pre_rebound = its[rebound - 1]
-    assert pts[t] <= pre_rebound < pre_escape
+    if not pts[t] <= pre_rebound < pre_escape:
+        raise CertificationFailed(f"pre-rebound point {pre_rebound} out of range")
     if pre_rebound >= x_s1:
         return OddOrbitTrace(
             case=TraceCase.REBOUND_ABOVE, rebound_time=rebound, **kwargs
         )
 
-    assert pre_rebound <= x_s
+    if pre_rebound > x_s:
+        raise CertificationFailed(f"pre-rebound point {pre_rebound} inside the switch gap")
     fixed_preimage = _leftmost_solution(f, z, Interval(x_t, pts[t]))
     upper_relay = _leftmost_solution(f, fixed_preimage, Interval(z, pre_escape))
     lower_relay = _leftmost_solution(f, upper_relay, Interval(pre_rebound, z))
@@ -473,7 +442,8 @@ def analyze_odd_orbit(f: PwlMap, orbit: Orbit) -> OddOrbitTrace:
         trace = _analyze_oriented(
             reflected, _reflect_orbit(f, orbit), mirrored=True
         )
-        assert trace is not None, "reflection must expose a left straddle"
+        if trace is None:
+            raise CertificationFailed("reflection must expose a left straddle")
     return trace
 
 
@@ -573,7 +543,8 @@ def odd_period_witness(
     if trace.mirrored:
         dom = f.domain
         y = dom.lo + dom.hi - y
-    assert least_period(f, y, n) == n
+    if least_period(f, y, n) != n:
+        raise CertificationFailed(f"{y} does not have least period {n}")
     return y
 
 

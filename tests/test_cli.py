@@ -89,6 +89,14 @@ class TestWitness:
         code, _, err = invoke(capsys, "witness", "odd", "--pattern", "1>2>3")
         assert code == 2 and "period" in err
 
+    def test_long_period_has_no_recursion_limit(self, capsys):
+        payload = invoke_json(
+            capsys,
+            "witness", "odd", "--pattern", "1>2>3", "--period", "1200", "--json",
+        )
+        # orbit_of lists distinct points until the first return
+        assert len(payload["orbit"]) == 1200
+
     def test_unsupported_period_is_a_precondition_error(self, capsys):
         code, _, err = invoke(
             capsys,
@@ -171,3 +179,20 @@ class TestContract:
             "spectrum", "--pattern", "1>2>3", "--upto", "6", "--method", "direct",
         )
         assert code == 3 and "budget" in err
+
+    def test_non_positive_budget_is_a_usage_error(self, capsys):
+        code, _, err = invoke(capsys, "--piece-budget", "-5", "tent", "pk", "5")
+        assert code == 2 and "positive integer" in err
+        code, _, _ = invoke(capsys, "--walk-budget", "0", "tent", "pk", "3")
+        assert code == 2
+
+    def test_malformed_environment_budget_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("SHARKOVSKY_PIECE_BUDGET", "abc")
+        code, _, err = invoke(capsys, "tent", "pk", "3")
+        assert code == 2 and "positive integer" in err
+
+    def test_non_integer_pattern_entry_is_a_usage_error(self, capsys):
+        code, out, err = invoke(
+            capsys, "spectrum", "--pattern", "[2.5,3,1]", "--upto", "3"
+        )
+        assert code == 2 and not out and "not an integer" in err

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sharkovsky_lab import (
     BadClampBounds,
@@ -24,6 +26,7 @@ from sharkovsky_lab import (
     point_of_least_period_in_lap,
     tent_map,
 )
+from sharkovsky_lab.exact_pwl import fixed_structure_on, level_set_on
 
 TENT = tent_map()
 IDENTITY = PwlMap([(0, 0), (1, 1)])
@@ -243,6 +246,62 @@ class TestPreimageBranches:
                 assert g.image(L) == K
                 assert g(L.lo) in (K.lo, K.hi) and g(L.hi) in (K.lo, K.hi)
                 assert g(L.lo) != g(L.hi)
+
+
+unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=8)
+
+
+@st.composite
+def maps_windows_orders(draw):
+    """A random self-map of [0, 1], a window in it (maybe a point) and an order."""
+    xs = sorted({F(0), F(1), *draw(st.lists(unit_fractions, max_size=4))})
+    f = PwlMap([(x, draw(unit_fractions)) for x in xs])
+    a, b = sorted((draw(unit_fractions), draw(unit_fractions)))
+    return f, Interval(a, b), draw(st.integers(min_value=1, max_value=3))
+
+
+class TestKernelInterface:
+    PLATEAU = PwlMap([(0, 0), (F(1, 3), F(1, 2)), (F(2, 3), F(1, 2)), (1, 1)])
+
+    def test_level_set_on_flat_lap_is_the_lap(self):
+        hits = level_set_on(self.PLATEAU, F(1, 2), Interval(0, 1))
+        assert hits == [Interval(F(1, 3), F(2, 3))]
+        hits = level_set_on(self.PLATEAU, F(1, 2), Interval(F(1, 2), 1))
+        assert hits == [Interval(F(1, 2), F(2, 3))]
+
+    def test_level_set_on_at_a_breakpoint_value_is_one_point(self):
+        assert level_set_on(TENT, F(1), Interval(0, 1)) == [Interval(F(1, 2), F(1, 2))]
+        assert level_set_on(TENT, F(1, 2), Interval(0, 1)) == [
+            Interval(F(1, 4), F(1, 4)),
+            Interval(F(3, 4), F(3, 4)),
+        ]
+
+    def test_level_set_on_degenerate_window(self):
+        point = Interval(F(1, 2), F(1, 2))
+        assert level_set_on(TENT, F(1), point) == [point]
+        assert level_set_on(TENT, F(0), point) == []
+
+    def test_fixed_structure_on_degenerate_window(self):
+        assert fixed_structure_on(TENT, Interval(F(2, 3), F(2, 3))) == ((F(2, 3),), ())
+        assert fixed_structure_on(TENT, Interval(F(1, 3), F(1, 3))) == ((), ())
+        two = Interval(F(2, 5), F(2, 5))  # 2/5 -> 4/5 -> 2/5
+        assert fixed_structure_on(TENT, two) == ((), ())
+        assert fixed_structure_on(TENT, two, 2) == ((F(2, 5),), ())
+        assert fixed_structure_on(TENT, two, 4) == ((F(2, 5),), ())
+        assert fixed_structure_on(TENT, two, 3) == ((), ())
+
+    def test_fixed_structure_on_window_cuts_identity_laps(self):
+        pts, laps = fixed_structure_on(NEG, Interval(F(1, 4), F(1, 2)), 2)
+        assert laps == (Interval(F(1, 4), F(1, 2)),)
+        assert pts == (F(1, 4), F(1, 2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(maps_windows_orders())
+    def test_restricting_first_matches_iterating_first(self, case):
+        f, window, n = case
+        assert fixed_structure_on(f, window, n) == fixed_structure_on(
+            f.iterate(n), window
+        )
 
 
 class TestFixedPoints:

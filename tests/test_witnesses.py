@@ -1,10 +1,16 @@
 """Constructive witnesses: crossed pairs, interval cycles, odd-orbit forcing."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import sharkovsky_lab
 from sharkovsky_lab import (
     CrossingCase,
     CyclicPattern,
@@ -101,6 +107,34 @@ class TestPeriodTwoFromOrbit:
             f = connect_the_dots(pattern)
             w = period_two_from_orbit(f, orbit_of(f, 0))
             assert f(f(w.point)) == w.point and f(w.point) != w.point
+
+    def test_bogus_witness_is_refused_under_optimize(self):
+        # python -O strips assert statements; the certificate must survive it
+        script = textwrap.dedent(
+            """
+            from fractions import Fraction
+            from sharkovsky_lab import CertificationFailed, CyclicPattern
+            from sharkovsky_lab import connect_the_dots, orbit_of, witnesses
+
+            assert False, "asserts must be stripped"
+            f = connect_the_dots(CyclicPattern.from_cycle_string("1>2>3"))
+            # 2/3 is the fixed point of f, not a period-2 point
+            witnesses._leftmost_period2_point = lambda f, window: Fraction(2, 3)
+            try:
+                witnesses.period_two_from_orbit(f, orbit_of(f, 0))
+            except CertificationFailed:
+                print("refused")
+            else:
+                print("accepted")
+            """
+        )
+        src = str(Path(sharkovsky_lab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert run.stdout.strip() == "refused", run.stderr
 
 
 class TestPeriodicPointFromCycle:
