@@ -45,6 +45,7 @@ from .exact_pwl import (
     least_period,
     orbit_of,
     periodic_orbits,
+    periodic_orbits_upto,
     point_of_least_period_in_lap,
 )
 from .pattern_dynamics import (
@@ -106,6 +107,7 @@ from .witnesses import (
     period_two_from_crossing,
     period_two_from_orbit,
     periodic_point_from_cycle,
+    witness_from_trace,
 )
 
 __version__ = "0.1.0"

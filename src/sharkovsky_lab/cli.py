@@ -130,8 +130,8 @@ def _cmd_witness(args) -> None:
         if args.period is None:
             raise PreconditionError("--period is required for 'witness odd'")
         trace = witnesses.analyze_odd_orbit(f, realization)
-        point = witnesses.odd_period_witness(
-            f, realization, args.period, piece_budget=args.piece_budget
+        point = witnesses.witness_from_trace(
+            f, trace, args.period, piece_budget=args.piece_budget
         )
         payload = {
             "pattern": pattern.cycle_string(),
@@ -228,19 +228,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sharkovsky",
         description="Exact dynamics of piecewise-linear interval maps.",
     )
-    # string defaults go through the same type check as the flags
+    # None means "not given": _parse reads the environment at parse time
     parser.add_argument(
         "--piece-budget",
         type=_positive_int,
-        default=os.environ.get("SHARKOVSKY_PIECE_BUDGET", str(DEFAULT_PIECE_BUDGET)),
+        default=None,
         help="cap on breakpoints of composed maps (env SHARKOVSKY_PIECE_BUDGET)",
     )
     parser.add_argument(
         "--walk-budget",
         type=_positive_int,
-        default=os.environ.get(
-            "SHARKOVSKY_WALK_BUDGET", str(patterns.DEFAULT_WALK_BUDGET)
-        ),
+        default=None,
         help="cap on enumerated closed walks (env SHARKOVSKY_WALK_BUDGET)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -277,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("k", type=int)
     tr = tsub.add_parser("truncate", help="clamp at the period-k orbit hull")
     tr.add_argument("k", type=int)
-    tr.add_argument("--spectrum", type=int, required=True, metavar="J",
+    tr.add_argument("--spectrum", type=_positive_int, required=True, metavar="J",
                     help="report orbit counts for periods up to J")
     tr.add_argument("--format", choices=["json", "csv"], default="json",
                     help=f"csv columns: {SPECTRUM_CSV_COLUMNS}")
@@ -288,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="realized least periods of a pattern")
     p.add_argument("--pattern", required=True)
-    p.add_argument("--upto", type=int, required=True)
+    p.add_argument("--upto", type=_positive_int, required=True)
     p.add_argument(
         "--method", choices=["auto", "direct", "walks", "both"], default="auto"
     )
@@ -296,10 +294,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: (attribute, environment variable, default) for each budget flag
+_BUDGETS = (
+    ("piece_budget", "SHARKOVSKY_PIECE_BUDGET", DEFAULT_PIECE_BUDGET),
+    ("walk_budget", "SHARKOVSKY_WALK_BUDGET", patterns.DEFAULT_WALK_BUDGET),
+)
+
+_parser: Optional[argparse.ArgumentParser] = None
+
+
+def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """Parse with the process's one parser; unset budgets come from the environment."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    for attr, env, default in _BUDGETS:
+        if getattr(args, attr) is None:
+            text = os.environ.get(env)
+            try:
+                setattr(args, attr, default if text is None else _positive_int(text))
+            except argparse.ArgumentTypeError as exc:
+                _parser.error(f"{env}: {exc}")
+    return args
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

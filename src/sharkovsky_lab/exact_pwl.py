@@ -259,6 +259,29 @@ def _compose(outer: Pairs, inner: Pairs, piece_budget: int) -> Pairs:
     return out
 
 
+def _iterates(f: Pairs, first: Pairs, upto: int, piece_budget: int) -> Iterator[Pairs]:
+    """first, f o first, ..., f^(upto-1) o first: one composition per step.
+
+    Every composed iterate gets the check PwlMap applies, that its values
+    lie in f's domain, without a second copy of its breakpoints.
+    """
+    lo, hi = f[0][0], f[-1][0]
+    pairs = first
+    yield pairs
+    for _ in range(upto - 1):
+        pairs = _compose(f, pairs, piece_budget)
+        for _, y in pairs:
+            if not (lo <= y <= hi):
+                raise NotSelfMap(f"value {y} escapes domain [{lo}, {hi}]")
+        yield pairs
+
+
+def _last(items: Iterable[Pairs]) -> Pairs:
+    for item in items:
+        pass
+    return item
+
+
 def _restrict(pairs: Pairs, lo: Fraction, hi: Fraction) -> Pairs:
     """The same function on the nondegenerate subdomain [lo, hi]."""
     xs = [p[0] for p in pairs]
@@ -352,10 +375,8 @@ def fixed_structure_on(
         for _ in range(n):
             cur = f(cur)
         return ((y,) if cur == y else ()), ()
-    pairs = _restrict(f.breakpoints, window.lo, window.hi)
-    for _ in range(n - 1):
-        pairs = _compose(f.breakpoints, pairs, piece_budget)
-    return _fixed_structure(pairs)
+    first = _restrict(f.breakpoints, window.lo, window.hi)
+    return _fixed_structure(_last(_iterates(f.breakpoints, first, n, piece_budget)))
 
 
 def level_set_on(f: "PwlMap", c: Fraction, window: Interval) -> list[Interval]:
@@ -421,10 +442,8 @@ class PwlMap:
         """
         if n < 1:
             raise ValueError("iteration count must be >= 1")
-        pairs = self.breakpoints
-        for _ in range(n - 1):
-            pairs = _compose(self.breakpoints, pairs, piece_budget)
-        return PwlMap(pairs)
+        bps = self.breakpoints
+        return PwlMap(_last(_iterates(bps, bps, n, piece_budget)))
 
     def image(self, J: Interval) -> Interval:
         """The exact image interval f(J) = [min f, max f] over J."""
@@ -583,26 +602,26 @@ def fixed_points_of_iterate(
     return FixedPoints(pts, laps)
 
 
-def _trajectory_period(
-    f: PwlMap, y: Fraction, k: int, proper: list[int]
-) -> tuple[list[Fraction], int]:
-    """y, f(y), ..., f^(k-1)(y) and the least period of y, given f^k(y) = y.
+def _orbit_walk(f: PwlMap, y: Fraction, k: int) -> list[Fraction]:
+    """y, f(y), ... up to the first return to y, which must come at a divisor of k.
 
-    ``proper`` lists the divisors of k below k.
+    The walk's length is then the least period of y.
     """
     traj = [y]
-    for _ in range(k - 1):
-        traj.append(f(traj[-1]))
-    return traj, next((d for d in proper if traj[d] == y), k)
+    cur = f(y)
+    while cur != y and len(traj) < k:
+        traj.append(cur)
+        cur = f(cur)
+    if cur != y or k % len(traj):
+        raise NotAnOrbit(f"{y} is not fixed by the {k}-th iterate")
+    return traj
 
 
 def least_period(f: PwlMap, y: RationalLike, k: int) -> int:
     """The least period of y given that f^k(y) = y (it divides k)."""
-    y = as_fraction(y)
-    traj, period = _trajectory_period(f, y, k, divisors(k)[:-1])
-    if f(traj[-1]) != y:
-        raise NotAnOrbit(f"{y} is not fixed by the {k}-th iterate")
-    return period
+    if k < 1:
+        raise ValueError("iterate order must be >= 1")
+    return len(_orbit_walk(f, as_fraction(y), k))
 
 
 def orbit_of(f: PwlMap, y: RationalLike, max_steps: int = 10_000) -> Orbit:
@@ -667,6 +686,32 @@ def point_of_least_period_in_lap(
     return None
 
 
+def _census(
+    f: PwlMap, k: int, fps: FixedPoints, piece_budget: int
+) -> PeriodicOrbits:
+    """Sort the solutions of f^k(x) = x into the orbits of least period k.
+
+    The points are scanned in ascending order and each orbit is walked
+    once, from its first point met, which is its minimum; the points it
+    visits are skipped afterwards.
+    """
+    placed: set[Fraction] = set()
+    orbits = []
+    for y in fps.points:
+        if y in placed:
+            continue
+        traj = _orbit_walk(f, y, k)
+        placed.update(traj)
+        if len(traj) == k:
+            orbits.append(Orbit(tuple(traj)))
+    continuum = tuple(
+        lap
+        for lap in fps.identity_laps
+        if point_of_least_period_in_lap(f, k, lap, piece_budget) is not None
+    )
+    return PeriodicOrbits(tuple(orbits), continuum)
+
+
 def periodic_orbits(
     f: PwlMap, k: int, piece_budget: int = DEFAULT_PIECE_BUDGET
 ) -> PeriodicOrbits:
@@ -674,24 +719,28 @@ def periodic_orbits(
 
     Identity laps of f^k that still contain least-period-k points after
     removing every smaller-period solution set are reported as flagged
-    continuum components rather than enumerated.
+    continuum components rather than enumerated.  Equal to the last item
+    of :func:`periodic_orbits_upto` with the same k.
     """
-    fps = fixed_points_of_iterate(f, k, piece_budget)
-    proper = divisors(k)[:-1]
-    orbits: dict[Fraction, Orbit] = {}
-    for y in fps.points:
-        traj, period = _trajectory_period(f, y, k, proper)
-        if period != k:
-            continue
-        orbit = Orbit(tuple(traj))
-        orbits.setdefault(orbit.minimum, orbit)
-    continuum = tuple(
-        lap
-        for lap in fps.identity_laps
-        if point_of_least_period_in_lap(f, k, lap, piece_budget) is not None
+    return _census(f, k, fixed_points_of_iterate(f, k, piece_budget), piece_budget)
+
+
+def periodic_orbits_upto(
+    f: PwlMap, upto: int, piece_budget: int = DEFAULT_PIECE_BUDGET
+) -> Iterator[PeriodicOrbits]:
+    """periodic_orbits(f, k) for k = 1, ..., upto, in order.
+
+    Each iterate is composed once, from the one before, so a spectrum up
+    to J performs J - 1 compositions.  A composition over the piece budget
+    raises from the advance that needs it and ends the generator.
+    """
+    if upto < 1:
+        raise ValueError("period bound must be >= 1")
+    iterates = _iterates(f.breakpoints, f.breakpoints, upto, piece_budget)
+    return (
+        _census(f, k, FixedPoints(*_fixed_structure(g)), piece_budget)
+        for k, g in enumerate(iterates, start=1)
     )
-    ordered = tuple(orbits[m] for m in sorted(orbits))
-    return PeriodicOrbits(ordered, continuum)
 
 
 def is_orbit_of(f: PwlMap, orbit: Orbit) -> bool:

@@ -31,7 +31,7 @@ from .exact_pwl import (
     IntervalLoop,
     PwlMap,
     connect_the_dots_points,
-    periodic_orbits,
+    periodic_orbits_upto,
 )
 
 DEFAULT_WALK_BUDGET = 1_000_000
@@ -217,9 +217,10 @@ def closed_walks(
     return list(_budgeted_walks(graph, n, walk_budget))
 
 
-def _node_interval(pattern: CyclicPattern, node: int) -> Interval:
+def _node_intervals(pattern: CyclicPattern) -> tuple[Interval, ...]:
+    """The realization's m - 1 consecutive-point intervals, node i at index i - 1."""
     xs = connect_the_dots_points(pattern.size)
-    return Interval(xs[node - 1], xs[node])
+    return tuple(Interval(a, b) for a, b in zip(xs, xs[1:]))
 
 
 def loop_to_intervals(pattern: CyclicPattern, walk: tuple[int, ...]) -> IntervalLoop:
@@ -233,20 +234,15 @@ def loop_to_intervals(pattern: CyclicPattern, walk: tuple[int, ...]) -> Interval
     for a, b in zip(walk, walk[1:] + walk[:1]):
         if not graph.has_edge(a, b):
             raise NotAWalk(f"missing edge {a} -> {b}")
-    return IntervalLoop(tuple(_node_interval(pattern, node) for node in walk))
-
-
-def _realized_direct(
-    f: PwlMap, k: int, piece_budget: int
-) -> bool:
-    census = periodic_orbits(f, k, piece_budget)
-    return bool(census.orbits) or bool(census.continuum)
+    nodes = _node_intervals(pattern)
+    return IntervalLoop(tuple(nodes[node - 1] for node in walk))
 
 
 def _realized_by_walks(
     pattern: CyclicPattern,
     f: PwlMap,
     graph: MarkovGraph,
+    nodes: tuple[Interval, ...],
     k: int,
     piece_budget: int,
     walk_budget: int,
@@ -254,7 +250,7 @@ def _realized_by_walks(
     if k == pattern.size:
         return True  # the pattern's own orbit
     for walk in _budgeted_walks(graph, k, walk_budget):
-        loop = IntervalLoop(tuple(_node_interval(pattern, node) for node in walk))
+        loop = IntervalLoop(tuple(nodes[node - 1] for node in walk))
         try:
             witnesses.periodic_point_from_cycle(
                 f, loop, require_least_period=True, piece_budget=piece_budget
@@ -277,39 +273,43 @@ def realized_periods(
     Two independent routes are available: "direct" enumerates the periodic
     points of the k-th iterate; "walks" searches closed walks of the
     covering graph and certifies a least-period witness along each.
-    "auto" uses the direct route per period and falls back to walks when
-    the piece budget is hit; "both" runs the two and insists they agree.
+    "auto" uses the direct route and, from the first period whose iterate
+    exceeds the piece budget on, falls back to walks (every later iterate
+    would be built through the same composition); "both" runs the two
+    and insists they agree.  The direct route composes each iterate once.
     """
     if method not in {"auto", "direct", "walks", "both"}:
         raise ValueError(f"unknown method {method!r}")
+    if upto < 1:
+        raise ValueError("period bound must be >= 1")
     f = connect_the_dots(pattern)
     graph = markov_graph(pattern)
+    nodes = _node_intervals(pattern)
+    censuses = (
+        None if method == "walks" else periodic_orbits_upto(f, upto, piece_budget)
+    )
     realized = set()
     for k in range(1, upto + 1):
-        if method == "direct":
-            hit = _realized_direct(f, k, piece_budget)
-        elif method == "walks":
-            hit = _realized_by_walks(
-                pattern, f, graph, k, piece_budget, walk_budget
-            )
-        elif method == "both":
-            direct = _realized_direct(f, k, piece_budget)
+        hit = None
+        if censuses is not None:
+            try:
+                census = next(censuses)
+            except PieceBudgetExceeded:
+                if method != "auto":
+                    raise
+                censuses = None
+            else:
+                hit = bool(census.orbits) or bool(census.continuum)
+        if hit is None or method == "both":
             walked = _realized_by_walks(
-                pattern, f, graph, k, piece_budget, walk_budget
+                pattern, f, graph, nodes, k, piece_budget, walk_budget
             )
-            if direct != walked:
+            if hit is not None and hit != walked:
                 raise CertificationFailed(
                     f"spectrum routes disagree at period {k} for {pattern}: "
-                    f"direct={direct} walks={walked}"
+                    f"direct={hit} walks={walked}"
                 )
-            hit = direct
-        else:
-            try:
-                hit = _realized_direct(f, k, piece_budget)
-            except PieceBudgetExceeded:
-                hit = _realized_by_walks(
-                    pattern, f, graph, k, piece_budget, walk_budget
-                )
+            hit = walked
         if hit:
             realized.add(k)
     return realized

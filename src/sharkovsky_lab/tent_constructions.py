@@ -22,6 +22,7 @@ from .exact_pwl import (
     PwlMap,
     is_orbit_of,
     periodic_orbits,
+    periodic_orbits_upto,
 )
 
 
@@ -91,18 +92,17 @@ def period_spectrum(
 
     ``continuum`` flags periods whose points fill whole intervals (identity
     laps of the iterate); the count then covers the isolated orbits only.
+    Each iterate is composed once (see :func:`periodic_orbits_upto`).
     """
-    out = []
-    for k in range(1, upto + 1):
-        census = periodic_orbits(f, k, piece_budget)
-        out.append(
-            SpectrumEntry(
-                period=k,
-                orbit_count=len(census.orbits),
-                continuum=bool(census.continuum),
-            )
+    censuses = periodic_orbits_upto(f, upto, piece_budget)
+    return [
+        SpectrumEntry(
+            period=k,
+            orbit_count=len(census.orbits),
+            continuum=bool(census.continuum),
         )
-    return out
+        for k, census in enumerate(censuses, start=1)
+    ]
 
 
 def realized_spectrum_set(entries: list[SpectrumEntry]) -> set[int]:

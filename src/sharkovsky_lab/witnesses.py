@@ -538,26 +538,23 @@ def odd_period_witness(
     Valid n: every even n >= 2, every n >= period + 1, and any n >= 1
     when the analysis reaches a period-3 orbit (which forces everything).
     """
-    trace = analyze_odd_orbit(f, orbit)
-    y = _witness_from_trace(trace, n, piece_budget)
-    if trace.mirrored:
-        dom = f.domain
-        y = dom.lo + dom.hi - y
-    if least_period(f, y, n) != n:
-        raise CertificationFailed(f"{y} does not have least period {n}")
-    return y
+    return witness_from_trace(f, analyze_odd_orbit(f, orbit), n, piece_budget)
 
 
-def _witness_from_trace(
-    trace: OddOrbitTrace, n: int, piece_budget: int
+def witness_from_trace(
+    f: PwlMap,
+    trace: OddOrbitTrace,
+    n: int,
+    piece_budget: int = DEFAULT_PIECE_BUDGET,
 ) -> Fraction:
-    if trace.case is TraceCase.PERIOD_THREE:
-        return periodic_point_from_cycle(
-            trace.map,
-            forcing_cycle(trace, n),
-            require_least_period=True,
-            piece_budget=piece_budget,
-        )
+    """odd_period_witness for an orbit of f already analysed into ``trace``.
+
+    The trace must come from :func:`analyze_odd_orbit` on f.  The point is
+    found on the trace's (possibly mirrored) map, carried back to f and
+    certified there.
+    """
+    if trace.map != (_reflect_map(f) if trace.mirrored else f):
+        raise PreconditionViolated("the trace was not analysed on this map")
     if trace.case.yields_period_three:
         seed = periodic_point_from_cycle(
             trace.map,
@@ -565,12 +562,19 @@ def _witness_from_trace(
             require_least_period=True,
             piece_budget=piece_budget,
         )
-        return odd_period_witness(
+        y = odd_period_witness(
             trace.map, orbit_of(trace.map, seed), n, piece_budget
         )
-    return periodic_point_from_cycle(
-        trace.map,
-        forcing_cycle(trace, n),
-        require_least_period=True,
-        piece_budget=piece_budget,
-    )
+    else:
+        y = periodic_point_from_cycle(
+            trace.map,
+            forcing_cycle(trace, n),
+            require_least_period=True,
+            piece_budget=piece_budget,
+        )
+    if trace.mirrored:
+        dom = f.domain
+        y = dom.lo + dom.hi - y
+    if least_period(f, y, n) != n:
+        raise CertificationFailed(f"{y} does not have least period {n}")
+    return y

@@ -2,6 +2,7 @@
 
 import json
 
+from sharkovsky_lab import cli, witnesses
 from sharkovsky_lab.cli import run
 from sharkovsky_lab.serialize import SCHEMA, orbit_from_list, pwlmap_from_obj
 from sharkovsky_lab.tent_constructions import tent_map
@@ -97,6 +98,22 @@ class TestWitness:
         # orbit_of lists distinct points until the first return
         assert len(payload["orbit"]) == 1200
 
+    def test_odd_analyses_the_orbit_once(self, capsys, monkeypatch):
+        calls = []
+        original = witnesses.analyze_odd_orbit
+
+        def counted(f, orbit):
+            calls.append(orbit)
+            return original(f, orbit)
+
+        monkeypatch.setattr(witnesses, "analyze_odd_orbit", counted)
+        payload = invoke_json(
+            capsys,
+            "witness", "odd", "--pattern", "1>3>4>2>5", "--period", "6", "--json",
+        )
+        assert payload["case"] == "ReboundBelow"
+        assert len(calls) == 1
+
     def test_unsupported_period_is_a_precondition_error(self, capsys):
         code, _, err = invoke(
             capsys,
@@ -190,6 +207,46 @@ class TestContract:
         monkeypatch.setenv("SHARKOVSKY_PIECE_BUDGET", "abc")
         code, _, err = invoke(capsys, "tent", "pk", "3")
         assert code == 2 and "positive integer" in err
+
+    def test_non_positive_spectrum_bounds_are_usage_errors(self, capsys):
+        for argv in (
+            ("spectrum", "--pattern", "1>2>3", "--upto", "-3"),
+            ("spectrum", "--pattern", "1>2>3", "--upto", "0"),
+            ("tent", "truncate", "2", "--spectrum", "0"),
+            ("tent", "truncate", "2", "--spectrum", "-1"),
+        ):
+            code, out, err = invoke(capsys, *argv)
+            assert code == 2 and not out and "positive integer" in err
+
+    def test_parser_is_built_once_and_reads_the_environment_per_call(
+        self, capsys, monkeypatch
+    ):
+        built = []
+        original = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counted)
+        argv = ("spectrum", "--pattern", "1>2>3", "--upto", "6", "--method", "direct")
+        monkeypatch.setenv("SHARKOVSKY_PIECE_BUDGET", "1000")
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0 and json.loads(out)["realized"] == [1, 2, 3, 4, 5, 6]
+        monkeypatch.setenv("SHARKOVSKY_PIECE_BUDGET", "8")
+        code, _, err = invoke(capsys, *argv)
+        assert code == 3 and "budget" in err
+        assert len(built) == 1
+
+    def test_flag_overrides_the_environment_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("SHARKOVSKY_PIECE_BUDGET", "8")
+        payload = invoke_json(
+            capsys,
+            "--piece-budget", "1000",
+            "spectrum", "--pattern", "1>2>3", "--upto", "6", "--method", "direct",
+        )
+        assert payload["realized"] == [1, 2, 3, 4, 5, 6]
 
     def test_non_integer_pattern_entry_is_a_usage_error(self, capsys):
         code, out, err = invoke(

@@ -1,5 +1,6 @@
 """Exact map representation, enumeration, and preimage machinery."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from sharkovsky_lab import (
     BadClampBounds,
+    CyclicPattern,
     Interval,
     NonMonotoneBreakpoints,
     NotAnOrbit,
@@ -16,16 +18,26 @@ from sharkovsky_lab import (
     NotSelfMap,
     Orbit,
     OutOfDomain,
+    PeriodicOrbits,
     PieceBudgetExceeded,
     PwlMap,
+    connect_the_dots,
+    divisors,
     fixed_points_of_iterate,
     is_orbit_of,
     least_period,
+    minimal_diameter_orbit,
     orbit_of,
+    period_spectrum,
     periodic_orbits,
+    periodic_orbits_upto,
     point_of_least_period_in_lap,
+    random_pattern,
+    realized_periods,
     tent_map,
+    truncate_at_orbit,
 )
+from sharkovsky_lab import exact_pwl, pattern_dynamics
 from sharkovsky_lab.exact_pwl import fixed_structure_on, level_set_on
 
 TENT = tent_map()
@@ -429,3 +441,148 @@ class TestOrbits:
         # a proper subset of a 3-cycle of the square is not an orbit
         square = TENT.iterate(2)
         assert not is_orbit_of(square, Orbit((F(2, 7), F(4, 7))))
+
+
+def reference_census(f, k):
+    """The k-step trajectory census: every solution of f^k(x) = x walks k steps."""
+    fps = fixed_points_of_iterate(f, k)
+    proper = divisors(k)[:-1]
+    orbits = {}
+    for y in fps.points:
+        traj = [y]
+        for _ in range(k - 1):
+            traj.append(f(traj[-1]))
+        if any(traj[d] == y for d in proper):
+            continue
+        orbit = Orbit(tuple(traj))
+        orbits.setdefault(orbit.minimum, orbit)
+    continuum = tuple(
+        lap
+        for lap in fps.identity_laps
+        if point_of_least_period_in_lap(f, k, lap) is not None
+    )
+    return PeriodicOrbits(tuple(orbits[m] for m in sorted(orbits)), continuum)
+
+
+def _truncation(k):
+    return truncate_at_orbit(TENT, minimal_diameter_orbit(TENT, k)).map
+
+
+@st.composite
+def patterns_and_orders(draw):
+    m = draw(st.integers(min_value=3, max_value=7))
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    k = draw(st.integers(min_value=1, max_value=7))
+    return random_pattern(m, random.Random(seed)), k
+
+
+class TestCensus:
+    def _assert_matches_reference(self, f, upto):
+        censuses = list(periodic_orbits_upto(f, upto))
+        assert censuses == [reference_census(f, k) for k in range(1, upto + 1)]
+        assert periodic_orbits(f, upto) == censuses[-1]
+
+    @settings(max_examples=25, deadline=None)
+    @given(patterns_and_orders())
+    def test_matches_the_trajectory_census_on_patterns(self, case):
+        pattern, k = case
+        self._assert_matches_reference(connect_the_dots(pattern), k)
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_matches_the_trajectory_census_on_tent_truncations(self, k):
+        self._assert_matches_reference(_truncation(k), 7)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            IDENTITY,
+            NEG,
+            THREE_CYCLE,
+            connect_the_dots(CyclicPattern((3, 4, 2, 1))),
+        ],
+        ids=["identity", "reflection", "three-cycle", "four-doubling"],
+    )
+    def test_matches_the_trajectory_census_with_identity_laps(self, f):
+        self._assert_matches_reference(f, 6)
+
+    def test_identity_laps_are_exercised(self):
+        # the four-doubling realization's 4th iterate carries identity laps
+        f = connect_the_dots(CyclicPattern((3, 4, 2, 1)))
+        assert fixed_points_of_iterate(f, 4).has_continuum
+
+    def test_each_tent_orbit_is_walked_once(self, monkeypatch):
+        calls = []
+        original = PwlMap.__call__
+
+        def counted(self, x):
+            calls.append(x)
+            return original(self, x)
+
+        monkeypatch.setattr(PwlMap, "__call__", counted)
+        census = periodic_orbits(TENT, 10)
+        assert len(census) == 99
+        assert len(calls) <= 2**10
+
+    def test_spectrum_composes_each_iterate_once(self, monkeypatch):
+        calls = []
+        original = exact_pwl._compose
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return original(*args)
+
+        f = _truncation(3)
+        monkeypatch.setattr(exact_pwl, "_compose", counted)
+        entries = period_spectrum(f, 9)
+        assert [e.period for e in entries] == list(range(1, 10))
+        assert len(calls) == 8
+
+    def test_non_positive_bounds_are_rejected(self):
+        for upto in (0, -3):
+            with pytest.raises(ValueError):
+                periodic_orbits_upto(TENT, upto)
+            with pytest.raises(ValueError):
+                period_spectrum(TENT, upto)
+            for method in ("auto", "walks"):
+                with pytest.raises(ValueError):
+                    realized_periods(CyclicPattern((2, 3, 1)), upto, method)
+
+    def test_budget_overrun_ends_the_generator(self):
+        censuses = periodic_orbits_upto(TENT, 9, piece_budget=40)
+        assert len(list(itertools.islice(censuses, 5))) == 5  # tent^5 has 33
+        with pytest.raises(PieceBudgetExceeded):
+            next(censuses)
+        assert next(censuses, None) is None
+
+    def test_auto_falls_back_to_walks_from_the_first_overrun(self, monkeypatch):
+        pattern = CyclicPattern.from_cycle_string("1>3>4>2>5")
+        f = connect_the_dots(pattern)
+        budget = 60
+        direct_fits = []
+        for k in range(1, 9):
+            try:
+                f.iterate(k, budget)
+                direct_fits.append(k)
+            except PieceBudgetExceeded:
+                pass
+        assert direct_fits == list(range(1, len(direct_fits) + 1))
+        assert 1 < len(direct_fits) < 8  # the overrun comes partway
+
+        walked = []
+        original = pattern_dynamics._realized_by_walks
+
+        def recorded(*args):
+            walked.append(args[4])
+            return original(*args)
+
+        monkeypatch.setattr(pattern_dynamics, "_realized_by_walks", recorded)
+        realized = realized_periods(pattern, 8, "auto", piece_budget=budget)
+        assert walked == [k for k in range(1, 9) if k not in direct_fits]
+        assert realized == realized_periods(pattern, 8, "direct")
+
+    def test_walks_never_start_the_census(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the walk route must not enumerate iterates")
+
+        monkeypatch.setattr(pattern_dynamics, "periodic_orbits_upto", refuse)
+        assert realized_periods(CyclicPattern((2, 3, 1)), 5, "walks") == {1, 2, 3, 4, 5}

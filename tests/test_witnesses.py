@@ -39,6 +39,7 @@ from sharkovsky_lab import (
     periodic_point_from_cycle,
     random_pattern,
     stefan_pattern,
+    witness_from_trace,
 )
 
 THREE_CYCLE = CyclicPattern((2, 3, 1))
@@ -352,6 +353,22 @@ class TestOddPeriodWitness:
         for n in (2, 4, 6, 7, 8):
             y = odd_period_witness(f, orbit, n)
             assert least_period(f, y, n) == n
+
+    def test_witness_from_trace_matches_a_fresh_analysis(self):
+        for pattern in (stefan_pattern(5), stefan_pattern(5).mirror(), THREE_CYCLE):
+            f = connect_the_dots(pattern)
+            orbit = orbit_of(f, 0)
+            trace = analyze_odd_orbit(f, orbit)
+            for n in (2, 6, 7):
+                assert witness_from_trace(f, trace, n) == odd_period_witness(
+                    f, orbit, n
+                )
+
+    def test_witness_from_trace_rejects_a_trace_of_another_map(self):
+        f = connect_the_dots(stefan_pattern(5))
+        trace = analyze_odd_orbit(F3, ORBIT3)
+        with pytest.raises(PreconditionViolated):
+            witness_from_trace(f, trace, 4)
 
     def test_reduction_cases_reach_any_period(self):
         # hunt for patterns classified into each period-3 reduction case
