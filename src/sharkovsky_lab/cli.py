@@ -109,6 +109,8 @@ def _cmd_witness(args) -> None:
     f = patterns.connect_the_dots(pattern)
     realization = orbit_of(f, 0)
     if args.kind == "period2":
+        if args.period is not None:
+            raise PreconditionError("--period applies only to 'witness odd'")
         w = witnesses.period_two_from_orbit(f, realization)
         payload = {
             "pattern": pattern.cycle_string(),

@@ -303,7 +303,7 @@ def _coalesce(spans: Iterable[tuple[Fraction, Fraction]]) -> list[Interval]:
     return [Interval(a, b) for a, b in merged]
 
 
-def _fixed_structure(pairs: Pairs) -> tuple[tuple[Fraction, ...], tuple[Interval, ...]]:
+def _fixed_structure(pairs: Pairs) -> "FixedPoints":
     """Solutions of f(x) = x: isolated points plus maximal identity laps.
 
     Endpoints of identity laps are included among the points.
@@ -327,7 +327,7 @@ def _fixed_structure(pairs: Pairs) -> tuple[tuple[Fraction, ...], tuple[Interval
     for lap in laps:
         pts.add(lap.lo)
         pts.add(lap.hi)
-    return tuple(sorted(pts)), laps
+    return FixedPoints(tuple(sorted(pts)), laps)
 
 
 def _within_levels(pairs: Pairs, lo: Fraction, hi: Fraction) -> list[Interval]:
@@ -363,7 +363,7 @@ def fixed_structure_on(
     window: Interval,
     n: int = 1,
     piece_budget: int = DEFAULT_PIECE_BUDGET,
-) -> tuple[tuple[Fraction, ...], tuple[Interval, ...]]:
+) -> "FixedPoints":
     """Solutions of f^n(x) = x for x in the window: points plus identity laps.
 
     f is restricted to the window before it is composed, so the work
@@ -374,7 +374,7 @@ def fixed_structure_on(
         y = cur = window.lo
         for _ in range(n):
             cur = f(cur)
-        return ((y,) if cur == y else ()), ()
+        return FixedPoints((y,) if cur == y else ())
     first = _restrict(f.breakpoints, window.lo, window.hi)
     return _fixed_structure(_last(_iterates(f.breakpoints, first, n, piece_budget)))
 
@@ -477,23 +477,20 @@ class PwlMap:
         """
         if not self.covers(J, K):
             raise NotCovering(f"f({J}) does not contain {K}")
-        if J.is_degenerate:
-            return [Interval(J.lo, J.hi)]
-        pairs = _restrict(self.breakpoints, J.lo, J.hi)
         if K.is_degenerate:
-            return _within_levels(pairs, K.lo, K.lo)
+            return level_set_on(self, K.lo, J)
+        pairs = _restrict(self.breakpoints, J.lo, J.hi)
+        lo_hits = _within_levels(pairs, K.lo, K.lo)
+        hi_hits = _within_levels(pairs, K.hi, K.hi)
 
         branches: list[Interval] = []
         for comp in _within_levels(pairs, K.lo, K.hi):
-            if comp.is_degenerate:
-                continue
-            sub = _restrict(pairs, comp.lo, comp.hi)
-            lo_hits = _within_levels(sub, K.lo, K.lo)
-            hi_hits = _within_levels(sub, K.hi, K.hi)
-            if not lo_hits or not hi_hits:
+            lo_in = [h for h in lo_hits if comp.encloses(h)]
+            hi_in = [h for h in hi_hits if comp.encloses(h)]
+            if not lo_in or not hi_in:
                 continue  # the component does not map onto all of K
-            first_lo, last_lo = lo_hits[0].lo, lo_hits[-1].hi
-            first_hi, last_hi = hi_hits[0].lo, hi_hits[-1].hi
+            first_lo, last_lo = lo_in[0].lo, lo_in[-1].hi
+            first_hi, last_hi = hi_in[0].lo, hi_in[-1].hi
             cands = []
             if first_lo < last_hi:
                 cands.append(Interval(first_lo, last_hi))
@@ -597,9 +594,7 @@ def fixed_points_of_iterate(
     """All exact solutions of f^k(x) = x, ascending and deduplicated."""
     if k < 1:
         raise ValueError("iterate order must be >= 1")
-    g = f.iterate(k, piece_budget)
-    pts, laps = _fixed_structure(g.breakpoints)
-    return FixedPoints(pts, laps)
+    return _fixed_structure(f.iterate(k, piece_budget).breakpoints)
 
 
 def _orbit_walk(f: PwlMap, y: Fraction, k: int) -> list[Fraction]:
@@ -628,14 +623,16 @@ def orbit_of(f: PwlMap, y: RationalLike, max_steps: int = 10_000) -> Orbit:
     """Follow y under f until it returns; error if it is not periodic."""
     y = as_fraction(y)
     seen = [y]
+    visited = {y}
     current = y
     for _ in range(max_steps):
         current = f(current)
         if current == y:
             return Orbit(tuple(seen))
-        if current in seen:
+        if current in visited:
             raise NotAnOrbit(f"{y} is pre-periodic, not periodic")
         seen.append(current)
+        visited.add(current)
     raise NotAnOrbit(f"{y} did not return within {max_steps} steps")
 
 
@@ -648,40 +645,28 @@ def point_of_least_period_in_lap(
     """A point of least period exactly k inside an identity lap of f^k.
 
     On the lap every point satisfies f^k(x) = x, so a point has least
-    period k exactly when no proper-divisor iterate fixes it.  The fixed
-    sets of those iterates are finitely many points and identity laps;
-    subtracting them either exhausts the lap (return None) or leaves room,
-    in which case the leftmost deterministic representative is returned.
+    period k exactly when no proper-divisor iterate fixes it.  Those
+    iterates are composed once, on the lap alone, and the lap is cut at
+    their solutions: each piece between two cuts is either wholly fixed
+    by some proper-divisor iterate or holds no such solution.  The
+    leftmost cut or piece midpoint of least period k is returned, or None
+    when the lap has none.  A degenerate lap is its only candidate.
     """
     if k == 1:
         return lap.lo
-    blocked_pts: set[Fraction] = set()
-    blocked_spans: list[tuple[Fraction, Fraction]] = []
-    for d in divisors(k)[:-1]:
-        sub = fixed_points_of_iterate(f, d, piece_budget)
-        blocked_pts.update(p for p in sub.points if lap.contains(p))
-        for iv in sub.identity_laps:
-            inter = iv.intersection(lap)
-            if inter is not None:
-                blocked_spans.append((inter.lo, inter.hi))
-    merged = _coalesce(blocked_spans)
-    boundaries = {lap.lo, lap.hi} | blocked_pts
-    for iv in merged:
-        boundaries.update((iv.lo, iv.hi))
-    ordered = sorted(boundaries)
-    candidates: list[Fraction] = []
-    for i, b in enumerate(ordered):
-        candidates.append(b)
-        if i + 1 < len(ordered):
-            candidates.append((b + ordered[i + 1]) / 2)
-
-    def blocked(x: Fraction) -> bool:
-        if x in blocked_pts:
-            return True
-        return any(iv.contains(x) for iv in merged)
-
+    cuts = {lap.lo, lap.hi}
+    if not lap.is_degenerate:
+        first = _restrict(f.breakpoints, lap.lo, lap.hi)
+        chain = _iterates(f.breakpoints, first, divisors(k)[-2], piece_budget)
+        for d, g in enumerate(chain, start=1):
+            if k % d == 0:
+                cuts.update(_fixed_structure(g).points)
+    ordered = sorted(cuts)
+    candidates = [ordered[0]]
+    for a, b in zip(ordered, ordered[1:]):
+        candidates += [(a + b) / 2, b]
     for c in candidates:
-        if lap.contains(c) and not blocked(c) and least_period(f, c, k) == k:
+        if least_period(f, c, k) == k:
             return c
     return None
 
@@ -738,7 +723,7 @@ def periodic_orbits_upto(
         raise ValueError("period bound must be >= 1")
     iterates = _iterates(f.breakpoints, f.breakpoints, upto, piece_budget)
     return (
-        _census(f, k, FixedPoints(*_fixed_structure(g)), piece_budget)
+        _census(f, k, _fixed_structure(g), piece_budget)
         for k, g in enumerate(iterates, start=1)
     )
 

@@ -49,11 +49,6 @@ from .exact_pwl import (
 # ---------------------------------------------------------------------------
 
 
-def _fixed_in(f: PwlMap, window: Interval) -> tuple[Fraction, ...]:
-    """Ascending fixed points of f inside the window (lap endpoints included)."""
-    return fixed_structure_on(f, window)[0]
-
-
 def _leftmost_solution(f: PwlMap, level: Fraction, window: Interval) -> Fraction:
     """The leftmost x in the window with f(x) = level; must exist."""
     hits = level_set_on(f, level, window)
@@ -66,23 +61,18 @@ def _leftmost_period2_point(f: PwlMap, window: Interval) -> Fraction:
     """Leftmost solution of f(f(x)) = x in the window that f does not fix.
 
     When the solutions fill whole laps the leftmost non-fixed one may not
-    be attained; in that case the representative right of the offending
-    fixed point is the midpoint toward the lap's end.
+    be attained; each such lap then offers the representative of
+    :func:`point_of_least_period_in_lap`.
     """
-    pts, laps = fixed_structure_on(f, window, 2)
-    candidates = list(pts)
-    for lap in laps:
-        fixed_inside = _fixed_in(f, lap)
-        if fixed_inside:
-            # an involution lap holds at most one fixed point of f
-            z = fixed_inside[0]
-            if z == lap.lo and lap.hi > z:
-                candidates.append((z + lap.hi) / 2)
-        # lap endpoints already sit among pts
-    for y in sorted(candidates):
-        if f(y) != y:
-            return y
-    raise CertificationFailed(f"no period-2 point in {window}")
+    fps = fixed_structure_on(f, window, 2)
+    candidates = [y for y in fps.points if f(y) != y]
+    for lap in fps.identity_laps:
+        rep = point_of_least_period_in_lap(f, 2, lap)
+        if rep is not None:
+            candidates.append(rep)
+    if not candidates:
+        raise CertificationFailed(f"no period-2 point in {window}")
+    return min(candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +119,10 @@ def period_two_from_crossing(
             f"need f(d) <= c < d <= f(c); got f({d}) = {f(d)}, f({c}) = {f(c)}"
         )
     a = dom.lo
-    first_fixed = _fixed_in(f, Interval(c, d))[0]
+    first_fixed = fixed_structure_on(f, Interval(c, d)).points[0]
     upper_preimage = _leftmost_solution(f, d, Interval(c, first_fixed))
 
-    fixed_left = () if a == c else _fixed_in(f, Interval(a, c))
+    fixed_left = () if a == c else fixed_structure_on(f, Interval(a, c)).points
     if not fixed_left:
         # f fixes nothing in [a, upper_preimage], and f^2 crosses the
         # diagonal between a and upper_preimage
@@ -217,13 +207,20 @@ def _chain_starts(f: PwlMap, intervals: tuple[Interval, ...]) -> Iterator[Interv
             stack.append(iter(f.preimage_branches(intervals[level], branch)))
 
 
-def _itinerary_holds(f: PwlMap, y: Fraction, loop: IntervalLoop) -> bool:
-    cur = y
-    for J in loop:
+def _return_time(f: PwlMap, y: Fraction, loop: IntervalLoop) -> Optional[int]:
+    """The least period of y when f^i(y) lies in J_i for each i and f^n(y) = y.
+
+    One walk of n steps checks the itinerary and notes the first return;
+    None when the itinerary fails.
+    """
+    cur, first_return = y, None
+    for i, J in enumerate(loop, start=1):
         if not J.contains(cur):
-            return False
+            return None
         cur = f(cur)
-    return cur == y
+        if first_return is None and cur == y:
+            first_return = i
+    return first_return if cur == y else None
 
 
 def periodic_point_from_cycle(
@@ -249,16 +246,15 @@ def periodic_point_from_cycle(
             raise NotACycle(f"f({J}) does not cover {K} at position {i}")
 
     for start in _chain_starts(f, loop.intervals):
-        points, laps = fixed_structure_on(f, start, n, piece_budget)
-        for y in points:
-            if not _itinerary_holds(f, y, loop):
-                continue
-            if not require_least_period or least_period(f, y, n) == n:
+        fps = fixed_structure_on(f, start, n, piece_budget)
+        for y in fps.points:
+            period = _return_time(f, y, loop)
+            if period is not None and (not require_least_period or period == n):
                 return y
         if require_least_period:
-            for lap in laps:
+            for lap in fps.identity_laps:
                 rep = point_of_least_period_in_lap(f, n, lap, piece_budget)
-                if rep is not None and _itinerary_holds(f, rep, loop):
+                if rep is not None and _return_time(f, rep, loop) is not None:
                     return rep
     if require_least_period:
         raise NoLeastPeriodWitness(
@@ -352,8 +348,7 @@ def _analyze_oriented(
     m = len(pts)
     s = _switch_rank(f, orbit)
     x_s, x_s1 = pts[s - 1], pts[s]
-    fixed = _fixed_in(f, Interval(x_s, x_s1))
-    z = fixed[0]
+    z = fixed_structure_on(f, Interval(x_s, x_s1)).points[0]
 
     def on_left(p: Fraction) -> bool:
         v = f(p)

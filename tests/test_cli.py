@@ -90,6 +90,13 @@ class TestWitness:
         code, _, err = invoke(capsys, "witness", "odd", "--pattern", "1>2>3")
         assert code == 2 and "period" in err
 
+    def test_period2_rejects_period(self, capsys):
+        code, out, err = invoke(
+            capsys, "witness", "period2", "--pattern", "1>2>3", "--period", "7"
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "--period" in err
+
     def test_long_period_has_no_recursion_limit(self, capsys):
         payload = invoke_json(
             capsys,

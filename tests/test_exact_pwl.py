@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from sharkovsky_lab import (
     BadClampBounds,
     CyclicPattern,
+    FixedPoints,
     Interval,
     NonMonotoneBreakpoints,
     NotAnOrbit,
@@ -44,6 +45,14 @@ TENT = tent_map()
 IDENTITY = PwlMap([(0, 0), (1, 1)])
 NEG = PwlMap([(0, 1), (1, 0)])  # x -> 1 - x
 THREE_CYCLE = PwlMap([(0, F(1, 2)), (F(1, 2), 1), (1, 0)])
+IDENTITY_LAP_MAPS = [
+    IDENTITY,
+    NEG,
+    THREE_CYCLE,
+    connect_the_dots(CyclicPattern((3, 4, 2, 1))),
+    connect_the_dots(CyclicPattern((4, 3, 1, 2))),
+]
+IDENTITY_LAP_IDS = ["identity", "reflection", "three-cycle", "four-doubling", "mirror"]
 
 
 def mobius(n):
@@ -272,6 +281,103 @@ def maps_windows_orders(draw):
     return f, Interval(a, b), draw(st.integers(min_value=1, max_value=3))
 
 
+@st.composite
+def maps_and_targets(draw):
+    """A random map, a window J in it and a target K, inside f(J) 7 times in 8."""
+    f, J, _ = draw(maps_windows_orders())
+    if draw(st.integers(min_value=0, max_value=7)):
+        img = f.image(J)
+        a, b = sorted(img.lo + img.length * draw(unit_fractions) for _ in range(2))
+    else:
+        a, b = sorted((draw(unit_fractions), draw(unit_fractions)))
+    return f, J, Interval(a, b)
+
+
+@st.composite
+def lattice_maps(draw):
+    """A self-map of [0, 1] through points (i/m, y_i/m) with y steps of -1, 0 or 1.
+
+    Every lap has slope 0 or +-1, so every iterate breaks only on the
+    lattice and identity laps of iterates are common.
+    """
+    m = draw(st.integers(min_value=1, max_value=5))
+    ys = [draw(st.integers(min_value=0, max_value=m))]
+    for _ in range(m):
+        ys.append(min(m, max(0, ys[-1] + draw(st.sampled_from((-1, 0, 1))))))
+    return PwlMap([(F(i, m), F(y, m)) for i, y in enumerate(ys)])
+
+
+def outcome(fn, *args):
+    """fn's result, or the type of the precondition error it raised."""
+    try:
+        return fn(*args)
+    except (NotCovering, NotAnOrbit) as exc:
+        return type(exc)
+
+
+def reference_preimage_branches(f, J, K):
+    """preimage_branches restricting to every component and solving its levels there."""
+    if not f.covers(J, K):
+        raise NotCovering(f"f({J}) does not contain {K}")
+    if J.is_degenerate:
+        return [Interval(J.lo, J.hi)]
+    pairs = exact_pwl._restrict(f.breakpoints, J.lo, J.hi)
+    if K.is_degenerate:
+        return exact_pwl._within_levels(pairs, K.lo, K.lo)
+    branches = []
+    for comp in exact_pwl._within_levels(pairs, K.lo, K.hi):
+        if comp.is_degenerate:
+            continue
+        sub = exact_pwl._restrict(pairs, comp.lo, comp.hi)
+        lo_hits = exact_pwl._within_levels(sub, K.lo, K.lo)
+        hi_hits = exact_pwl._within_levels(sub, K.hi, K.hi)
+        if not lo_hits or not hi_hits:
+            continue
+        first_lo, last_lo = lo_hits[0].lo, lo_hits[-1].hi
+        first_hi, last_hi = hi_hits[0].lo, hi_hits[-1].hi
+        cands = []
+        if first_lo < last_hi:
+            cands.append(Interval(first_lo, last_hi))
+        if first_hi < last_lo:
+            cands.append(Interval(first_hi, last_lo))
+        branches.extend(
+            c for c in cands if not any(o != c and o.encloses(c) for o in cands)
+        )
+    branches.sort(key=lambda iv: (iv.lo, iv.hi))
+    return branches
+
+
+def reference_lap_point(f, k, lap):
+    """The lap search on whole-domain iterates: every proper-divisor solution
+    set is clipped to the lap and subtracted from it."""
+    if k == 1:
+        return lap.lo
+    blocked_pts = set()
+    blocked_spans = []
+    for d in divisors(k)[:-1]:
+        sub = fixed_points_of_iterate(f, d)
+        blocked_pts.update(p for p in sub.points if lap.contains(p))
+        for iv in sub.identity_laps:
+            inter = iv.intersection(lap)
+            if inter is not None:
+                blocked_spans.append((inter.lo, inter.hi))
+    merged = exact_pwl._coalesce(blocked_spans)
+    boundaries = {lap.lo, lap.hi} | blocked_pts
+    for iv in merged:
+        boundaries.update((iv.lo, iv.hi))
+    ordered = sorted(boundaries)
+    candidates = []
+    for i, b in enumerate(ordered):
+        candidates.append(b)
+        if i + 1 < len(ordered):
+            candidates.append((b + ordered[i + 1]) / 2)
+    for c in candidates:
+        blocked = c in blocked_pts or any(iv.contains(c) for iv in merged)
+        if lap.contains(c) and not blocked and least_period(f, c, k) == k:
+            return c
+    return None
+
+
 class TestKernelInterface:
     PLATEAU = PwlMap([(0, 0), (F(1, 3), F(1, 2)), (F(2, 3), F(1, 2)), (1, 1)])
 
@@ -294,18 +400,18 @@ class TestKernelInterface:
         assert level_set_on(TENT, F(0), point) == []
 
     def test_fixed_structure_on_degenerate_window(self):
-        assert fixed_structure_on(TENT, Interval(F(2, 3), F(2, 3))) == ((F(2, 3),), ())
-        assert fixed_structure_on(TENT, Interval(F(1, 3), F(1, 3))) == ((), ())
+        assert fixed_structure_on(TENT, Interval(F(2, 3), F(2, 3))) == FixedPoints((F(2, 3),))
+        assert fixed_structure_on(TENT, Interval(F(1, 3), F(1, 3))) == FixedPoints(())
         two = Interval(F(2, 5), F(2, 5))  # 2/5 -> 4/5 -> 2/5
-        assert fixed_structure_on(TENT, two) == ((), ())
-        assert fixed_structure_on(TENT, two, 2) == ((F(2, 5),), ())
-        assert fixed_structure_on(TENT, two, 4) == ((F(2, 5),), ())
-        assert fixed_structure_on(TENT, two, 3) == ((), ())
+        assert fixed_structure_on(TENT, two) == FixedPoints(())
+        assert fixed_structure_on(TENT, two, 2) == FixedPoints((F(2, 5),))
+        assert fixed_structure_on(TENT, two, 4) == FixedPoints((F(2, 5),))
+        assert fixed_structure_on(TENT, two, 3) == FixedPoints(())
 
     def test_fixed_structure_on_window_cuts_identity_laps(self):
-        pts, laps = fixed_structure_on(NEG, Interval(F(1, 4), F(1, 2)), 2)
-        assert laps == (Interval(F(1, 4), F(1, 2)),)
-        assert pts == (F(1, 4), F(1, 2))
+        fps = fixed_structure_on(NEG, Interval(F(1, 4), F(1, 2)), 2)
+        assert fps.identity_laps == (Interval(F(1, 4), F(1, 2)),)
+        assert fps.points == (F(1, 4), F(1, 2))
 
     @settings(max_examples=200, deadline=None)
     @given(maps_windows_orders())
@@ -313,6 +419,14 @@ class TestKernelInterface:
         f, window, n = case
         assert fixed_structure_on(f, window, n) == fixed_structure_on(
             f.iterate(n), window
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(maps_and_targets())
+    def test_preimage_branches_match_the_reference(self, case):
+        f, J, K = case
+        assert outcome(f.preimage_branches, J, K) == outcome(
+            reference_preimage_branches, f, J, K
         )
 
 
@@ -395,6 +509,56 @@ class TestContinuumExtraction:
     def test_identity_lap_period_one(self):
         assert point_of_least_period_in_lap(IDENTITY, 1, Interval(0, 1)) == 0
 
+    def _assert_matches_on_laps(self, f, k, shares):
+        """Compare on every window of an identity lap between two of its shares."""
+        shares = sorted(set(shares))
+        for lap in fixed_points_of_iterate(f, k).identity_laps:
+            ends = [lap.lo + s * lap.length for s in shares]
+            for i, a in enumerate(ends):
+                for b in ends[i:]:
+                    window = Interval(a, b)
+                    assert point_of_least_period_in_lap(f, k, window) == (
+                        reference_lap_point(f, k, window)
+                    )
+
+    @pytest.mark.parametrize("f", IDENTITY_LAP_MAPS, ids=IDENTITY_LAP_IDS)
+    def test_matches_the_reference_on_identity_lap_maps(self, f):
+        for k in range(1, 9):
+            self._assert_matches_on_laps(f, k, [F(i, 8) for i in range(9)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lattice_maps(),
+        st.integers(min_value=1, max_value=8),
+        unit_fractions,
+        unit_fractions,
+    )
+    def test_matches_the_reference_on_lattice_maps(self, f, k, s, t):
+        self._assert_matches_on_laps(f, k, [F(0), s, F(1, 2), t, F(1)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(maps_windows_orders(), st.integers(min_value=1, max_value=8))
+    def test_matches_the_reference_on_degenerate_laps(self, case, k):
+        f, window, _ = case
+        point = Interval(window.lo, window.lo)
+        assert outcome(point_of_least_period_in_lap, f, k, point) == outcome(
+            reference_lap_point, f, k, point
+        )
+
+    @pytest.mark.parametrize("k", [2, 4, 6, 8, 12])
+    def test_one_chain_of_iterates_on_the_lap(self, monkeypatch, k):
+        calls = []
+        original = exact_pwl._compose
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return original(*args)
+
+        monkeypatch.setattr(exact_pwl, "_compose", counted)
+        rep = point_of_least_period_in_lap(NEG, k, Interval(0, 1))
+        assert rep == (0 if k == 2 else None)
+        assert len(calls) == divisors(k)[-2] - 1
+
 
 class TestClamp:
     def test_truncation_has_exact_plateaus(self):
@@ -430,6 +594,24 @@ class TestOrbits:
     def test_preperiodic_point_rejected(self):
         with pytest.raises(NotAnOrbit):
             orbit_of(TENT, F(1, 2))  # 1/2 -> 1 -> 0 -> 0
+
+    def test_long_orbit_costs_linear_comparisons(self, monkeypatch):
+        n = 300
+        shift = connect_the_dots(CyclicPattern(tuple(range(2, n + 1)) + (1,)))
+        with pytest.raises(NotAnOrbit, match="did not return"):
+            orbit_of(shift, 0, max_steps=n - 1)
+        calls = []
+        original = F.__eq__
+
+        def counted(self, other):
+            calls.append(None)
+            return original(self, other)
+
+        monkeypatch.setattr(F, "__eq__", counted)
+        orbit = orbit_of(shift, 0)
+        monkeypatch.undo()
+        assert orbit.period == n
+        assert len(calls) <= 10 * n  # a list scan per step would take n^2 / 2
 
     def test_duplicate_points_rejected(self):
         with pytest.raises(NotAnOrbit):
@@ -492,16 +674,7 @@ class TestCensus:
     def test_matches_the_trajectory_census_on_tent_truncations(self, k):
         self._assert_matches_reference(_truncation(k), 7)
 
-    @pytest.mark.parametrize(
-        "f",
-        [
-            IDENTITY,
-            NEG,
-            THREE_CYCLE,
-            connect_the_dots(CyclicPattern((3, 4, 2, 1))),
-        ],
-        ids=["identity", "reflection", "three-cycle", "four-doubling"],
-    )
+    @pytest.mark.parametrize("f", IDENTITY_LAP_MAPS, ids=IDENTITY_LAP_IDS)
     def test_matches_the_trajectory_census_with_identity_laps(self, f):
         self._assert_matches_reference(f, 6)
 

@@ -9,9 +9,12 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sharkovsky_lab
 from sharkovsky_lab import (
+    CertificationFailed,
     CrossingCase,
     CyclicPattern,
     EvenPeriod,
@@ -40,7 +43,9 @@ from sharkovsky_lab import (
     random_pattern,
     stefan_pattern,
     witness_from_trace,
+    witnesses,
 )
+from sharkovsky_lab.exact_pwl import fixed_structure_on
 
 THREE_CYCLE = CyclicPattern((2, 3, 1))
 F3 = connect_the_dots(THREE_CYCLE)
@@ -136,6 +141,68 @@ class TestPeriodTwoFromOrbit:
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert run.stdout.strip() == "refused", run.stderr
+
+
+def reference_period2_point(f, window):
+    """The leftmost period-2 point with its own rule for involution laps."""
+    fps = fixed_structure_on(f, window, 2)
+    candidates = list(fps.points)
+    for lap in fps.identity_laps:
+        fixed_inside = fixed_structure_on(f, lap).points
+        if fixed_inside:
+            z = fixed_inside[0]
+            if z == lap.lo and lap.hi > z:
+                candidates.append((z + lap.hi) / 2)
+    for y in sorted(candidates):
+        if f(y) != y:
+            return y
+    raise CertificationFailed(f"no period-2 point in {window}")
+
+
+unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=8)
+
+
+@st.composite
+def maps_with_involution_laps(draw):
+    """A small connect-the-dots map, or a self-map of [0, 1] through lattice
+    points (i/m, y_i/m) with y steps of -1, 0 or 1.
+
+    The second kind often has whole laps on which f^2 is the identity.
+    """
+    if draw(st.booleans()):
+        m = draw(st.integers(min_value=3, max_value=5))
+        return connect_the_dots(draw(st.sampled_from(list(all_patterns(m)))))
+    m = draw(st.integers(min_value=1, max_value=5))
+    ys = [draw(st.integers(min_value=0, max_value=m))]
+    for _ in range(m):
+        ys.append(min(m, max(0, ys[-1] + draw(st.sampled_from((-1, 0, 1))))))
+    return PwlMap([(F(i, m), F(y, m)) for i, y in enumerate(ys)])
+
+
+class TestLeftmostPeriodTwoPoint:
+    @staticmethod
+    def _assert_matches_the_reference(f, window):
+        outcomes = []
+        for search in (witnesses._leftmost_period2_point, reference_period2_point):
+            try:
+                outcomes.append(search(f, window))
+            except CertificationFailed:
+                outcomes.append(CertificationFailed)
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize(
+        "f", [NEG, IDENTITY, F3], ids=["reflection", "identity", "three-cycle"]
+    )
+    def test_matches_the_reference_on_windows_of_eighths(self, f):
+        ends = [F(i, 8) for i in range(9)]
+        for i, a in enumerate(ends):
+            for b in ends[i:]:
+                self._assert_matches_the_reference(f, Interval(a, b))
+
+    @settings(max_examples=200, deadline=None)
+    @given(maps_with_involution_laps(), unit_fractions, unit_fractions)
+    def test_matches_the_reference(self, f, a, b):
+        self._assert_matches_the_reference(f, Interval.between(a, b))
 
 
 class TestPeriodicPointFromCycle:
