@@ -1,17 +1,23 @@
 """Exact piecewise-linear self-maps of a compact rational interval.
 
-Everything runs in exact rational arithmetic (``fractions.Fraction``); no
-floating point enters any computation, so least-period claims reduce to
-exact equality.  A map is stored as its ordered breakpoint list, kept in
-canonical form (no three consecutive collinear breakpoints), which makes
-structural equality coincide with functional equality on a common domain.
+Everything runs in exact rational arithmetic; no floating point enters any
+computation, so least-period claims reduce to exact equality.  The public
+types take and return ``fractions.Fraction`` values.  Inside, the
+breakpoint kernel works on reduced integer pairs (numerator, positive
+denominator): it compares by cross-multiplication and pays one gcd per
+new value, and a Fraction is built only where a value leaves it.  A map is
+stored as its ordered breakpoint list, kept in canonical form (no three
+consecutive collinear breakpoints), which makes structural equality
+coincide with functional equality on a common domain.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, cmp_to_key
+from itertools import islice
+from math import gcd
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import (
@@ -105,6 +111,13 @@ class Orbit:
                 raise NotAnOrbit(f"duplicate orbit point {a}")
         object.__setattr__(self, "points", pts)
 
+    @classmethod
+    def _of(cls, points: Iterable[Fraction]) -> "Orbit":
+        """Wrap points that are already ascending and distinct."""
+        orbit = object.__new__(cls)
+        object.__setattr__(orbit, "points", tuple(points))
+        return orbit
+
     @property
     def period(self) -> int:
         return len(self.points)
@@ -164,94 +177,183 @@ class IntervalLoop:
 # ---------------------------------------------------------------------------
 # the breakpoint kernel
 #
-# A "pairs" value is a tuple of (x, y) Fractions with strictly increasing x.
-# Unlike PwlMap it need not be a self-map, so a map can be restricted to a
-# window before it is composed.  Only this module knows the format: other
-# modules reach the kernel through PwlMap, fixed_structure_on and
-# level_set_on.
+# Inside the kernel a rational is a pair (n, d) of ints in lowest terms with
+# d > 0, so two rationals are equal exactly when their pairs are, a < b is
+# the cross-multiplication a_n * b_d < b_n * a_d, and each new value costs
+# one gcd.  A "pairs" value is a tuple of flat breakpoints (xn, xd, yn, yd)
+# with strictly increasing x.  Unlike PwlMap it need not be a self-map, so a
+# map can be restricted to a window before it is composed.  Only this module
+# knows the format: other modules reach the kernel through PwlMap,
+# fixed_structure_on and level_set_on, which take and return Fractions.
 # ---------------------------------------------------------------------------
 
-Pairs = tuple[tuple[Fraction, Fraction], ...]
+Q = tuple[int, int]
+Breakpoint = tuple[int, int, int, int]
+Pairs = tuple[Breakpoint, ...]
 
 
-def _canonical(pairs: Iterable[tuple[Fraction, Fraction]]) -> Pairs:
-    """Validate monotone x and drop breakpoints collinear with their neighbours."""
-    out: list[tuple[Fraction, Fraction]] = []
-    for x, y in pairs:
+def _q(value: Fraction) -> Q:
+    return value.numerator, value.denominator
+
+
+def _fraction(q: Q) -> Fraction:
+    return Fraction(q[0], q[1])
+
+
+def _lerp(
+    a0n: int, a0d: int, b0n: int, b0d: int,
+    a1n: int, a1d: int, b1n: int, b1d: int,
+    tn: int, td: int,
+) -> Q:
+    """b at a = t on the line through (a0, b0) and (a1, b1), a0 != a1.
+
+    The arguments need positive denominators but not lowest terms.  With
+    (a, b) = (x, y) this evaluates a lap; with (a, b) = (y, x) it finds
+    where a lap takes a value.
+    """
+    # b0 + (b1 - b0) (t - a0) / (a1 - a0) over the denominator b0d b1d td da
+    da = a1n * a0d - a0n * a1d
+    num = b0n * b1d * td * da + (b1n * b0d - b0n * b1d) * (tn * a0d - a0n * td) * a1d
+    den = b0d * b1d * td * da
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
+def _le(a: Q, b: Q) -> bool:
+    """a <= b; a breakpoint stands for its x here."""
+    return a[0] * b[1] <= b[0] * a[1]
+
+
+def _laps(pairs: Pairs) -> Iterator[tuple[Breakpoint, Breakpoint]]:
+    return zip(pairs, islice(pairs, 1, None))
+
+
+def _locate(pairs: Pairs, n: int, d: int) -> int:
+    """The number of breakpoints with x <= n/d (bisect_right on x)."""
+    lo, hi = 0, len(pairs)
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        p = pairs[mid]
+        if n * p[1] < p[0] * d:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _value_at(pairs: Pairs, i: int, n: int, d: int) -> Q:
+    """f(n/d) for a point of the domain with i == _locate(pairs, n, d)."""
+    p = pairs[i - 1]
+    if p[0] == n and p[1] == d:
+        return p[2], p[3]
+    return _lerp(*p, *pairs[i], n, d)
+
+
+def _index(pairs: Pairs, n: int, d: int) -> int:
+    """_locate for a point that must lie in the domain; OutOfDomain otherwise."""
+    i = _locate(pairs, n, d)
+    if i == 0 or (i == len(pairs) and pairs[-1][:2] != (n, d)):
+        raise OutOfDomain(f"{Fraction(n, d)} outside domain {_span(pairs)}")
+    return i
+
+
+def _eval_pairs(pairs: Pairs, x: Q) -> Q:
+    n, d = x
+    return _value_at(pairs, _index(pairs, n, d), n, d)
+
+
+def _span(pairs: Pairs) -> str:
+    """The domain of pairs as printed in error messages."""
+    return f"[{_fraction(pairs[0])}, {_fraction(pairs[-1])}]"
+
+
+def _crossing(p0: Breakpoint, p1: Breakpoint, c: Q) -> Q:
+    """The x at which the lap from p0 to p1 takes the value c (not a flat lap)."""
+    return _lerp(p0[2], p0[3], p0[0], p0[1], p1[2], p1[3], p1[0], p1[1], c[0], c[1])
+
+
+def _canonical(points: Iterable[Breakpoint]) -> Pairs:
+    """Validate increasing x and drop breakpoints collinear with their neighbours.
+
+    The slope of the last kept segment is carried along: a point on its
+    line replaces the last kept point instead of following it.
+    """
+    out: list[Breakpoint] = []
+    sn = sd = 0  # slope sn / sd of the last kept segment; sd == 0 before one
+    for p in points:
+        xn, xd, yn, yd = p
         if out:
-            px, py = out[-1]
-            if x == px:
-                if y != py:
-                    raise NonMonotoneBreakpoints(f"two breakpoints share x = {x}")
+            qn, qd, rn, rd = out[-1]
+            dx = xn * qd - qn * xd
+            if dx <= 0:
+                if dx < 0:
+                    raise NonMonotoneBreakpoints("breakpoint x-values must increase")
+                if yn != rn or yd != rd:
+                    raise NonMonotoneBreakpoints(
+                        f"two breakpoints share x = {Fraction(xn, xd)}"
+                    )
                 continue
-            if x < px:
-                raise NonMonotoneBreakpoints("breakpoint x-values must increase")
-        out.append((x, y))
-        while len(out) >= 3:
-            (x0, y0), (x1, y1), (x2, y2) = out[-3:]
-            if (y1 - y0) * (x2 - x1) == (y2 - y1) * (x1 - x0):
-                del out[-2]
-            else:
-                break
+            tn = (yn * rd - rn * yd) * xd * qd
+            td = dx * yd * rd
+            if sd and tn * sd == sn * td:
+                out[-1] = p
+                continue
+            sn, sd = tn, td
+        out.append(p)
     if len(out) < 2:
         raise NonMonotoneBreakpoints("at least two distinct breakpoints required")
     return tuple(out)
 
 
-def _laps(pairs: Pairs) -> Iterator[tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]]:
-    for i in range(len(pairs) - 1):
-        yield pairs[i], pairs[i + 1]
-
-
-def _eval_pairs(pairs: Pairs, xs: list[Fraction], x: Fraction) -> Fraction:
-    idx = bisect_right(xs, x)
-    if idx == 0 or idx > len(xs):
-        raise OutOfDomain(f"{x} outside [{xs[0]}, {xs[-1]}]")
-    x0, y0 = pairs[idx - 1]
-    if x == x0:
-        return y0
-    if idx == len(xs):
-        raise OutOfDomain(f"{x} outside [{xs[0]}, {xs[-1]}]")
-    x1, y1 = pairs[idx]
-    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+def _check_values(pairs: Pairs, f: Pairs) -> None:
+    """NotSelfMap unless every value of pairs lies in f's domain."""
+    (lon, lod), (hin, hid) = f[0][:2], f[-1][:2]
+    for _, _, yn, yd in pairs:
+        if yn * lod < lon * yd or hin * yd < yn * hid:
+            raise NotSelfMap(f"value {Fraction(yn, yd)} escapes domain {_span(f)}")
 
 
 def _compose(outer: Pairs, inner: Pairs, piece_budget: int) -> Pairs:
-    """Breakpoints of x -> outer(inner(x)); inner values must lie in outer's domain."""
-    outer_xs = [p[0] for p in outer]
-    cuts: list[Fraction] = []
-    for (x0, y0), (x1, y1) in _laps(inner):
-        cuts.append(x0)
-        if y0 != y1:
-            lo, hi = (y0, y1) if y0 < y1 else (y1, y0)
-            start = bisect_right(outer_xs, lo)
-            lap_cuts = [
-                x0 + (bx - y0) * (x1 - x0) / (y1 - y0)
-                for bx in outer_xs[start:]
-                if bx < hi
-            ]
-            lap_cuts.sort()
-            cuts.extend(lap_cuts)
-        if len(cuts) > piece_budget:
+    """Breakpoints of x -> outer(inner(x)); inner values must lie in outer's domain.
+
+    Each lap of inner is cut where it crosses a breakpoint x of outer, in
+    the order the lap meets them, and the cut takes that breakpoint's y.
+    A breakpoint of inner whose value is a breakpoint x of outer takes
+    that breakpoint's y too; only other values are located and evaluated.
+    """
+
+    def place(y: Q) -> tuple[int, int, Q]:
+        """How many outer x are <= y and < y, and outer's value at y."""
+        i = _index(outer, *y)
+        return i, i, _value_at(outer, i, *y)
+
+    known = {b[:2]: (j + 1, j, b[2:]) for j, b in enumerate(outer)}
+    limit = piece_budget + 1
+    laps = iter(inner)
+    p0 = next(laps)
+    y0 = p0[2:]
+    i0, below0, v0 = known.get(y0) or place(y0)
+    raw = [p0[:2] + v0]
+    for p1 in laps:
+        y1 = p1[2:]
+        i1, below1, v1 = known.get(y1) or place(y1)
+        # outer breakpoints strictly between y0 and y1, in the lap's direction
+        if y1[0] * y0[1] > y0[0] * y1[1]:
+            crossed = range(i0, below1)
+        else:
+            crossed = range(below0 - 1, i1 - 1, -1)
+        for j in crossed:
+            b = outer[j]
+            raw.append((*_crossing(p0, p1, b[:2]), b[2], b[3]))
+        raw.append(p1[:2] + v1)
+        if len(raw) > limit:
             raise PieceBudgetExceeded(
                 f"composition needs more than {piece_budget} breakpoints"
             )
-    cuts.append(inner[-1][0])
-
-    result: list[tuple[Fraction, Fraction]] = []
-    lap = 0
-    prev: Optional[Fraction] = None
-    for x in cuts:
-        if x == prev:
-            continue
-        prev = x
-        while lap < len(inner) - 2 and inner[lap + 1][0] <= x:
-            lap += 1
-        x0, y0 = inner[lap]
-        x1, y1 = inner[lap + 1]
-        v = y0 if x == x0 else y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-        result.append((x, _eval_pairs(outer, outer_xs, v)))
-    out = _canonical(result)
+        p0, y0, i0, below0 = p1, y1, i1, below1
+    out = _canonical(raw)
     if len(out) > piece_budget:
         raise PieceBudgetExceeded(
             f"composition needs more than {piece_budget} breakpoints"
@@ -265,14 +367,11 @@ def _iterates(f: Pairs, first: Pairs, upto: int, piece_budget: int) -> Iterator[
     Every composed iterate gets the check PwlMap applies, that its values
     lie in f's domain, without a second copy of its breakpoints.
     """
-    lo, hi = f[0][0], f[-1][0]
     pairs = first
     yield pairs
     for _ in range(upto - 1):
         pairs = _compose(f, pairs, piece_budget)
-        for _, y in pairs:
-            if not (lo <= y <= hi):
-                raise NotSelfMap(f"value {y} escapes domain [{lo}, {hi}]")
+        _check_values(pairs, f)
         yield pairs
 
 
@@ -282,80 +381,88 @@ def _last(items: Iterable[Pairs]) -> Pairs:
     return item
 
 
-def _restrict(pairs: Pairs, lo: Fraction, hi: Fraction) -> Pairs:
+def _restrict(pairs: Pairs, lo: Q, hi: Q) -> Pairs:
     """The same function on the nondegenerate subdomain [lo, hi]."""
-    xs = [p[0] for p in pairs]
-    if lo < xs[0] or hi > xs[-1] or lo >= hi:
-        raise OutOfDomain(f"cannot restrict to [{lo}, {hi}]")
-    mid = [(x, y) for x, y in pairs if lo < x < hi]
-    ends = [(lo, _eval_pairs(pairs, xs, lo))] + mid + [(hi, _eval_pairs(pairs, xs, hi))]
-    return _canonical(ends)
+    if not (_le(pairs[0], lo) and _le(hi, pairs[-1])) or _le(hi, lo):
+        raise OutOfDomain(f"cannot restrict to {_span((lo, hi))}")
+    i, j = _locate(pairs, *lo), _locate(pairs, *hi)
+    # a breakpoint at hi comes twice; _canonical drops the repeat
+    return _canonical([lo + _value_at(pairs, i, *lo), *pairs[i:j], hi + _value_at(pairs, j, *hi)])
 
 
-def _coalesce(spans: Iterable[tuple[Fraction, Fraction]]) -> list[Interval]:
-    """Merge closed spans that touch or overlap into ascending disjoint intervals."""
-    merged: list[list[Fraction]] = []
-    for a, b in sorted(spans):
-        if merged and a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-    return [Interval(a, b) for a, b in merged]
+def _coalesce(spans: Iterable[tuple[Q, Q]]) -> list[tuple[Q, Q]]:
+    """Merge closed spans given in lap order where one starts as the last ends.
 
-
-def _fixed_structure(pairs: Pairs) -> "FixedPoints":
-    """Solutions of f(x) = x: isolated points plus maximal identity laps.
-
-    Endpoints of identity laps are included among the points.
+    Spans in lap order never overlap, so touching is the only way to meet.
     """
-    pts: set[Fraction] = set()
-    identity: list[tuple[Fraction, Fraction]] = []
-    for (x0, y0), (x1, y1) in _laps(pairs):
-        if y0 == y1:
-            if x0 <= y0 <= x1:
-                pts.add(y0)
-            continue
-        slope = (y1 - y0) / (x1 - x0)
-        if slope == 1:
-            if y0 == x0:
-                identity.append((x0, x1))
-            continue
-        root = (y0 - slope * x0) / (1 - slope)
-        if x0 <= root <= x1:
-            pts.add(root)
-    laps = tuple(_coalesce(identity))
-    for lap in laps:
-        pts.add(lap.lo)
-        pts.add(lap.hi)
-    return FixedPoints(tuple(sorted(pts)), laps)
+    merged: list[tuple[Q, Q]] = []
+    for a, b in spans:
+        if merged and merged[-1][1] == a:
+            merged[-1] = (merged[-1][0], b)
+        else:
+            merged.append((a, b))
+    return merged
 
 
-def _within_levels(pairs: Pairs, lo: Fraction, hi: Fraction) -> list[Interval]:
+def _fixed_structure(pairs: Pairs) -> tuple[list[Q], list[tuple[Q, Q]]]:
+    """Solutions of f(x) = x on canonical pairs: ascending points, identity laps.
+
+    Endpoints of identity laps are included among the points.  The roots
+    come out lap by lap, so they are already ascending: a breakpoint root
+    is emitted once, from the lap it starts (or as the last point), and a
+    root strictly inside a lap lies where f(x) - x changes sign.  Canonical
+    pairs never hold two adjacent identity laps, so each is maximal.
+    """
+    points: list[Q] = []
+    identity: list[tuple[Q, Q]] = []
+    (x0n, x0d, y0n, y0d), rest = pairs[0], islice(pairs, 1, None)
+    g0n, g0d = y0n * x0d - x0n * y0d, y0d * x0d  # f(x0) - x0
+    for x1n, x1d, y1n, y1d in rest:
+        g1n, g1d = y1n * x1d - x1n * y1d, y1d * x1d
+        if g0n == 0:
+            points.append((x0n, x0d))
+            if g1n == 0:
+                identity.append(((x0n, x0d), (x1n, x1d)))
+        elif g1n != 0 and (g0n < 0) != (g1n < 0):
+            # the zero of f(x) - x, which runs from g0 at x0 to g1 at x1
+            points.append(_lerp(g0n, g0d, x0n, x0d, g1n, g1d, x1n, x1d, 0, 1))
+        x0n, x0d, g0n, g0d = x1n, x1d, g1n, g1d
+    if g0n == 0:
+        points.append((x0n, x0d))
+    return points, identity
+
+
+def _within_levels(pairs: Pairs, lo: Q, hi: Q) -> list[tuple[Q, Q]]:
     """Maximal closed components of {x : lo <= f(x) <= hi}, ascending.
 
     With lo == hi this is the level set, one crossing per monotone lap.
     """
-    level = lo == hi
-    spans: list[tuple[Fraction, Fraction]] = []
-    for (x0, y0), (x1, y1) in _laps(pairs):
-        if y0 == y1:
-            if lo <= y0 <= hi:
-                spans.append((x0, x1))
+    spans: list[tuple[Q, Q]] = []
+    for p0, p1 in _laps(pairs):
+        low, high = (p0, p1) if _le(p0[2:], p1[2:]) else (p1, p0)
+        if not (_le(lo, high[2:]) and _le(low[2:], hi)):
+            continue  # the lap's values miss [lo, hi]
+        if low[2:] == high[2:]:
+            spans.append((p0[:2], p1[:2]))
             continue
-        vlo, vhi = (y0, y1) if y0 < y1 else (y1, y0)
-        if vhi < lo or hi < vlo:
-            continue
-        run = (x1 - x0) / (y1 - y0)
-        if level:
-            x = x0 + (lo - y0) * run
-            spans.append((x, x))
-            continue
-        a = lo if vlo < lo else vlo
-        b = hi if hi < vhi else vhi
-        xa = x0 + (a - y0) * run
-        xb = x0 + (b - y0) * run
-        spans.append((xa, xb) if xa <= xb else (xb, xa))
+        a = low[:2] if _le(lo, low[2:]) else _crossing(p0, p1, lo)
+        b = a if lo == hi else high[:2] if _le(high[2:], hi) else _crossing(p0, p1, hi)
+        spans.append((a, b) if _le(a, b) else (b, a))
     return _coalesce(spans)
+
+
+#: Sort key putting kernel rationals in ascending order.
+_ASCENDING = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
+
+
+def _intervals(spans: Iterable[tuple[Q, Q]]) -> list[Interval]:
+    return [Interval(_fraction(a), _fraction(b)) for a, b in spans]
+
+
+def _fixed_points(pairs: Pairs) -> "FixedPoints":
+    """The solutions of f(x) = x on pairs, as Fractions."""
+    points, laps = _fixed_structure(pairs)
+    return FixedPoints(tuple(map(_fraction, points)), tuple(_intervals(laps)))
 
 
 def fixed_structure_on(
@@ -375,16 +482,16 @@ def fixed_structure_on(
         for _ in range(n):
             cur = f(cur)
         return FixedPoints((y,) if cur == y else ())
-    first = _restrict(f.breakpoints, window.lo, window.hi)
-    return _fixed_structure(_last(_iterates(f.breakpoints, first, n, piece_budget)))
+    first = _restrict(f._pairs, _q(window.lo), _q(window.hi))
+    return _fixed_points(_last(_iterates(f._pairs, first, n, piece_budget)))
 
 
 def level_set_on(f: "PwlMap", c: Fraction, window: Interval) -> list[Interval]:
     """Maximal closed components of {x in window : f(x) = c}, ascending."""
     if window.is_degenerate:
         return [window] if f(window.lo) == c else []
-    pairs = _restrict(f.breakpoints, window.lo, window.hi)
-    return _within_levels(pairs, c, c)
+    pairs = _restrict(f._pairs, _q(window.lo), _q(window.hi))
+    return _intervals(_within_levels(pairs, _q(c), _q(c)))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +499,7 @@ def level_set_on(f: "PwlMap", c: Fraction, window: Interval) -> list[Interval]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class PwlMap:
     """A continuous piecewise-linear self-map of a compact interval.
 
@@ -400,39 +507,52 @@ class PwlMap:
     increasing x; the map is the linear interpolant between consecutive
     pairs.  The domain is [first x, last x] and every y must lie inside it
     (self-map).  Breakpoints are normalised on construction, so two PwlMap
-    values are equal exactly when they are the same function.
+    values are equal exactly when they are the same function.  The map
+    holds the kernel's integer form and builds the Fraction ``breakpoints``
+    from it on first use, so an iterate that is only solved keeps one copy.
 
     >>> tent = PwlMap([(0, 0), ("1/2", 1), (1, 0)])
     >>> tent(Fraction(1, 3))
     Fraction(2, 3)
     """
 
-    breakpoints: Pairs
+    _pairs: Pairs
 
-    def __post_init__(self) -> None:
-        coerced = tuple(
-            (as_fraction(x), as_fraction(y)) for x, y in self.breakpoints
+    def __init__(self, breakpoints: Iterable[tuple[RationalLike, RationalLike]]) -> None:
+        flat = []
+        for x, y in breakpoints:
+            x, y = as_fraction(x), as_fraction(y)
+            flat.append((x.numerator, x.denominator, y.numerator, y.denominator))
+        pairs = _canonical(flat)
+        _check_values(pairs, pairs)
+        object.__setattr__(self, "_pairs", pairs)
+
+    @classmethod
+    def _of(cls, pairs: Pairs) -> "PwlMap":
+        """Wrap canonical self-map pairs that the kernel has already checked."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "_pairs", pairs)
+        return f
+
+    @cached_property
+    def breakpoints(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple(
+            (Fraction(xn, xd), Fraction(yn, yd)) for xn, xd, yn, yd in self._pairs
         )
-        bps = _canonical(coerced)
-        lo, hi = bps[0][0], bps[-1][0]
-        for _, y in bps:
-            if not (lo <= y <= hi):
-                raise NotSelfMap(f"value {y} escapes domain [{lo}, {hi}]")
-        object.__setattr__(self, "breakpoints", bps)
+
+    def __repr__(self) -> str:
+        return f"PwlMap(breakpoints={self.breakpoints!r})"
 
     @property
     def domain(self) -> Interval:
-        return Interval(self.breakpoints[0][0], self.breakpoints[-1][0])
+        return Interval(_fraction(self._pairs[0]), _fraction(self._pairs[-1]))
 
-    def _xs(self) -> list[Fraction]:
-        return [p[0] for p in self.breakpoints]
+    def _holds(self, lo: Q, hi: Q) -> bool:
+        """True when the domain encloses [lo, hi]."""
+        return _le(self._pairs[0], lo) and _le(hi, self._pairs[-1])
 
     def __call__(self, x: RationalLike) -> Fraction:
-        x = as_fraction(x)
-        bps = self.breakpoints
-        if not (bps[0][0] <= x <= bps[-1][0]):
-            raise OutOfDomain(f"{x} outside domain {self.domain}")
-        return _eval_pairs(bps, self._xs(), x)
+        return _fraction(_eval_pairs(self._pairs, _q(as_fraction(x))))
 
     def iterate(self, n: int, piece_budget: int = DEFAULT_PIECE_BUDGET) -> "PwlMap":
         """The exact n-fold composition as a PwlMap.
@@ -442,29 +562,31 @@ class PwlMap:
         """
         if n < 1:
             raise ValueError("iteration count must be >= 1")
-        bps = self.breakpoints
-        return PwlMap(_last(_iterates(bps, bps, n, piece_budget)))
+        pairs = self._pairs
+        return PwlMap._of(_last(_iterates(pairs, pairs, n, piece_budget)))
+
+    def _image(self, J: Interval) -> tuple[Q, Q]:
+        """The least and the greatest value of f over J."""
+        pairs, lo, hi = self._pairs, _q(J.lo), _q(J.hi)
+        if not self._holds(lo, hi):
+            raise OutOfDomain(f"{J} outside domain {self.domain}")
+        i, j = _locate(pairs, *lo), _locate(pairs, *hi)
+        values = [_value_at(pairs, i, *lo), _value_at(pairs, j, *hi)]
+        values += (p[2:] for p in pairs[i:j])
+        return min(values, key=_ASCENDING), max(values, key=_ASCENDING)
 
     def image(self, J: Interval) -> Interval:
         """The exact image interval f(J) = [min f, max f] over J."""
-        if not self.domain.encloses(J):
-            raise OutOfDomain(f"{J} outside domain {self.domain}")
-        xs = self._xs()
-        vals = [_eval_pairs(self.breakpoints, xs, J.lo)]
-        if not J.is_degenerate:
-            vals.append(_eval_pairs(self.breakpoints, xs, J.hi))
-            start = bisect_right(xs, J.lo)
-            for i in range(start, len(xs)):
-                if xs[i] >= J.hi:
-                    break
-                vals.append(self.breakpoints[i][1])
-        return Interval(min(vals), max(vals))
+        least, most = self._image(J)
+        return Interval(_fraction(least), _fraction(most))
 
     def covers(self, J: Interval, K: Interval) -> bool:
         """True when f(J) contains K."""
-        if not self.domain.encloses(K):
+        lo, hi = _q(K.lo), _q(K.hi)
+        if not self._holds(lo, hi):
             raise OutOfDomain(f"{K} outside domain {self.domain}")
-        return self.image(J).encloses(K)
+        least, most = self._image(J)
+        return _le(least, lo) and _le(hi, most)
 
     def preimage_branches(self, J: Interval, K: Interval) -> list[Interval]:
         """Maximal closed L inside J with f(L) = K and endpoints onto K's endpoints.
@@ -479,32 +601,35 @@ class PwlMap:
             raise NotCovering(f"f({J}) does not contain {K}")
         if K.is_degenerate:
             return level_set_on(self, K.lo, J)
-        pairs = _restrict(self.breakpoints, J.lo, J.hi)
-        lo_hits = _within_levels(pairs, K.lo, K.lo)
-        hi_hits = _within_levels(pairs, K.hi, K.hi)
+        pairs = _restrict(self._pairs, _q(J.lo), _q(J.hi))
+        lo, hi = _q(K.lo), _q(K.hi)
+        lo_hits = _within_levels(pairs, lo, lo)
+        hi_hits = _within_levels(pairs, hi, hi)
 
-        branches: list[Interval] = []
-        for comp in _within_levels(pairs, K.lo, K.hi):
-            lo_in = [h for h in lo_hits if comp.encloses(h)]
-            hi_in = [h for h in hi_hits if comp.encloses(h)]
+        def within(a: Q, b: Q, hits: list[tuple[Q, Q]]) -> list[tuple[Q, Q]]:
+            return [h for h in hits if _le(a, h[0]) and _le(h[1], b)]
+
+        branches: list[tuple[Q, Q]] = []
+        for a, b in _within_levels(pairs, lo, hi):
+            lo_in, hi_in = within(a, b, lo_hits), within(a, b, hi_hits)
             if not lo_in or not hi_in:
                 continue  # the component does not map onto all of K
-            first_lo, last_lo = lo_in[0].lo, lo_in[-1].hi
-            first_hi, last_hi = hi_in[0].lo, hi_in[-1].hi
+            first_lo, last_lo = lo_in[0][0], lo_in[-1][1]
+            first_hi, last_hi = hi_in[0][0], hi_in[-1][1]
             cands = []
-            if first_lo < last_hi:
-                cands.append(Interval(first_lo, last_hi))
-            if first_hi < last_lo:
-                cands.append(Interval(first_hi, last_lo))
+            if not _le(last_hi, first_lo):
+                cands.append((first_lo, last_hi))
+            if not _le(last_lo, first_hi):
+                cands.append((first_hi, last_lo))
             # inclusion-maximal only: with two candidates one may swallow the other
-            keep = [
-                c
-                for c in cands
-                if not any(o != c and o.encloses(c) for o in cands)
+            branches += [
+                c for c in cands
+                if not any(o != c and _le(o[0], c[0]) and _le(c[1], o[1]) for o in cands)
             ]
-            branches.extend(keep)
-        branches.sort(key=lambda iv: (iv.lo, iv.hi))
-        return branches
+        # no two branches start together: a start maps onto K.lo or K.hi, and
+        # the components are disjoint
+        branches.sort(key=lambda c: _ASCENDING(c[0]))
+        return _intervals(branches)
 
     def clamp(self, lo: RationalLike, hi: RationalLike) -> "PwlMap":
         """median(lo, f(x), hi) with exact breakpoints where f crosses the bounds."""
@@ -512,17 +637,18 @@ class PwlMap:
         dom = self.domain
         if not (dom.lo <= lo <= hi <= dom.hi):
             raise BadClampBounds(f"bounds [{lo}, {hi}] not nested in {dom}")
-        cut_xs = {x for x, _ in self.breakpoints}
-        for level in (lo, hi):
-            for hit in _within_levels(self.breakpoints, level, level):
-                cut_xs.add(hit.lo)
-                cut_xs.add(hit.hi)
-        xs = self._xs()
-        pairs = []
-        for x in sorted(cut_xs):
-            v = _eval_pairs(self.breakpoints, xs, x)
-            pairs.append((x, min(max(v, lo), hi)))
-        return PwlMap(pairs)
+        lo, hi = _q(lo), _q(hi)
+        cuts = [self._pairs[0]]
+        for p0, p1 in _laps(self._pairs):
+            for c in (lo, hi) if _le(p0[2:], p1[2:]) else (hi, lo):
+                # a bound strictly between the lap's end values is crossed inside it
+                if (c[0] * p0[3] - p0[2] * c[1]) * (c[0] * p1[3] - p1[2] * c[1]) < 0:
+                    cuts.append(_crossing(p0, p1, c) + c)
+            cuts.append(p1)
+        return PwlMap._of(_canonical(
+            p[:2] + (lo if _le(p[2:], lo) else hi if _le(hi, p[2:]) else p[2:])
+            for p in cuts
+        ))
 
 
 def connect_the_dots_points(m: int) -> list[Fraction]:
@@ -594,21 +720,21 @@ def fixed_points_of_iterate(
     """All exact solutions of f^k(x) = x, ascending and deduplicated."""
     if k < 1:
         raise ValueError("iterate order must be >= 1")
-    return _fixed_structure(f.iterate(k, piece_budget).breakpoints)
+    return _fixed_points(f.iterate(k, piece_budget)._pairs)
 
 
-def _orbit_walk(f: PwlMap, y: Fraction, k: int) -> list[Fraction]:
+def _orbit_walk(f: Pairs, y: Q, k: int) -> list[Q]:
     """y, f(y), ... up to the first return to y, which must come at a divisor of k.
 
     The walk's length is then the least period of y.
     """
     traj = [y]
-    cur = f(y)
+    cur = _eval_pairs(f, y)
     while cur != y and len(traj) < k:
         traj.append(cur)
-        cur = f(cur)
+        cur = _eval_pairs(f, cur)
     if cur != y or k % len(traj):
-        raise NotAnOrbit(f"{y} is not fixed by the {k}-th iterate")
+        raise NotAnOrbit(f"{_fraction(y)} is not fixed by the {k}-th iterate")
     return traj
 
 
@@ -616,7 +742,7 @@ def least_period(f: PwlMap, y: RationalLike, k: int) -> int:
     """The least period of y given that f^k(y) = y (it divides k)."""
     if k < 1:
         raise ValueError("iterate order must be >= 1")
-    return len(_orbit_walk(f, as_fraction(y), k))
+    return len(_orbit_walk(f._pairs, _q(as_fraction(y)), k))
 
 
 def orbit_of(f: PwlMap, y: RationalLike, max_steps: int = 10_000) -> Orbit:
@@ -654,44 +780,50 @@ def point_of_least_period_in_lap(
     """
     if k == 1:
         return lap.lo
-    cuts = {lap.lo, lap.hi}
+    lo, hi = _q(lap.lo), _q(lap.hi)
+    cuts = {lo, hi}
     if not lap.is_degenerate:
-        first = _restrict(f.breakpoints, lap.lo, lap.hi)
-        chain = _iterates(f.breakpoints, first, divisors(k)[-2], piece_budget)
+        first = _restrict(f._pairs, lo, hi)
+        chain = _iterates(f._pairs, first, divisors(k)[-2], piece_budget)
         for d, g in enumerate(chain, start=1):
             if k % d == 0:
-                cuts.update(_fixed_structure(g).points)
-    ordered = sorted(cuts)
+                cuts.update(_fixed_structure(g)[0])
+    ordered = sorted(cuts, key=_ASCENDING)
     candidates = [ordered[0]]
     for a, b in zip(ordered, ordered[1:]):
-        candidates += [(a + b) / 2, b]
+        # the midpoint: the value at 1 of the line through (0, a) and (2, b)
+        candidates += [_lerp(0, 1, *a, 2, 1, *b, 1, 1), b]
     for c in candidates:
-        if least_period(f, c, k) == k:
-            return c
+        if len(_orbit_walk(f._pairs, c, k)) == k:
+            return _fraction(c)
     return None
 
 
 def _census(
-    f: PwlMap, k: int, fps: FixedPoints, piece_budget: int
+    f: PwlMap, k: int, fixed: tuple[list[Q], list[tuple[Q, Q]]], piece_budget: int
 ) -> PeriodicOrbits:
     """Sort the solutions of f^k(x) = x into the orbits of least period k.
 
-    The points are scanned in ascending order and each orbit is walked
-    once, from its first point met, which is its minimum; the points it
-    visits are skipped afterwards.
+    ``fixed`` is the _fixed_structure of f^k.  Its points are scanned in
+    ascending order and each orbit is walked once, from its first point
+    met, which is its minimum; the points it visits are skipped afterwards.
+    The set of points not yet placed holds the scanned list's own values,
+    so the walks add no copies.  Only the orbits found leave the kernel as
+    Fractions.
     """
-    placed: set[Fraction] = set()
+    points, laps = fixed
+    unplaced = set(points)
     orbits = []
-    for y in fps.points:
-        if y in placed:
+    for y in points:
+        if y not in unplaced:
             continue
-        traj = _orbit_walk(f, y, k)
-        placed.update(traj)
+        traj = _orbit_walk(f._pairs, y, k)
+        unplaced.difference_update(traj)
         if len(traj) == k:
-            orbits.append(Orbit(tuple(traj)))
+            orbits.append(Orbit._of(map(_fraction, sorted(traj, key=_ASCENDING))))
     continuum = tuple(
         lap
-        for lap in fps.identity_laps
+        for lap in _intervals(laps)
         if point_of_least_period_in_lap(f, k, lap, piece_budget) is not None
     )
     return PeriodicOrbits(tuple(orbits), continuum)
@@ -707,7 +839,10 @@ def periodic_orbits(
     continuum components rather than enumerated.  Equal to the last item
     of :func:`periodic_orbits_upto` with the same k.
     """
-    return _census(f, k, fixed_points_of_iterate(f, k, piece_budget), piece_budget)
+    if k < 1:
+        raise ValueError("iterate order must be >= 1")
+    fixed = _fixed_structure(f.iterate(k, piece_budget)._pairs)
+    return _census(f, k, fixed, piece_budget)
 
 
 def periodic_orbits_upto(
@@ -721,7 +856,7 @@ def periodic_orbits_upto(
     """
     if upto < 1:
         raise ValueError("period bound must be >= 1")
-    iterates = _iterates(f.breakpoints, f.breakpoints, upto, piece_budget)
+    iterates = _iterates(f._pairs, f._pairs, upto, piece_budget)
     return (
         _census(f, k, _fixed_structure(g), piece_budget)
         for k, g in enumerate(iterates, start=1)
