@@ -226,6 +226,11 @@ def _le(a: Q, b: Q) -> bool:
     return a[0] * b[1] <= b[0] * a[1]
 
 
+def _holds(pairs: Pairs, lo: Q, hi: Q) -> bool:
+    """True when the domain of pairs encloses [lo, hi]."""
+    return _le(pairs[0], lo) and _le(hi, pairs[-1])
+
+
 def _laps(pairs: Pairs) -> Iterator[tuple[Breakpoint, Breakpoint]]:
     return zip(pairs, islice(pairs, 1, None))
 
@@ -383,7 +388,7 @@ def _last(items: Iterable[Pairs]) -> Pairs:
 
 def _restrict(pairs: Pairs, lo: Q, hi: Q) -> Pairs:
     """The same function on the nondegenerate subdomain [lo, hi]."""
-    if not (_le(pairs[0], lo) and _le(hi, pairs[-1])) or _le(hi, lo):
+    if not _holds(pairs, lo, hi) or _le(hi, lo):
         raise OutOfDomain(f"cannot restrict to {_span((lo, hi))}")
     i, j = _locate(pairs, *lo), _locate(pairs, *hi)
     # a breakpoint at hi comes twice; _canonical drops the repeat
@@ -547,10 +552,6 @@ class PwlMap:
     def domain(self) -> Interval:
         return Interval(_fraction(self._pairs[0]), _fraction(self._pairs[-1]))
 
-    def _holds(self, lo: Q, hi: Q) -> bool:
-        """True when the domain encloses [lo, hi]."""
-        return _le(self._pairs[0], lo) and _le(hi, self._pairs[-1])
-
     def __call__(self, x: RationalLike) -> Fraction:
         return _fraction(_eval_pairs(self._pairs, _q(as_fraction(x))))
 
@@ -568,7 +569,7 @@ class PwlMap:
     def _image(self, J: Interval) -> tuple[Q, Q]:
         """The least and the greatest value of f over J."""
         pairs, lo, hi = self._pairs, _q(J.lo), _q(J.hi)
-        if not self._holds(lo, hi):
+        if not _holds(self._pairs, lo, hi):
             raise OutOfDomain(f"{J} outside domain {self.domain}")
         i, j = _locate(pairs, *lo), _locate(pairs, *hi)
         values = [_value_at(pairs, i, *lo), _value_at(pairs, j, *hi)]
@@ -583,7 +584,7 @@ class PwlMap:
     def covers(self, J: Interval, K: Interval) -> bool:
         """True when f(J) contains K."""
         lo, hi = _q(K.lo), _q(K.hi)
-        if not self._holds(lo, hi):
+        if not _holds(self._pairs, lo, hi):
             raise OutOfDomain(f"{K} outside domain {self.domain}")
         least, most = self._image(J)
         return _le(least, lo) and _le(hi, most)
