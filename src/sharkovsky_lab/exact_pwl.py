@@ -72,6 +72,11 @@ class Interval:
         a, b = as_fraction(a), as_fraction(b)
         return cls(a, b) if a <= b else cls(b, a)
 
+    @cached_property
+    def _span(self) -> tuple["Q", "Q"]:
+        """The endpoints as kernel pairs, converted once per interval."""
+        return _q(self.lo), _q(self.hi)
+
     @property
     def is_degenerate(self) -> bool:
         return self.lo == self.hi
@@ -184,7 +189,8 @@ class IntervalLoop:
 # with strictly increasing x.  Unlike PwlMap it need not be a self-map, so a
 # map can be restricted to a window before it is composed.  Only this module
 # knows the format: other modules reach the kernel through PwlMap,
-# fixed_structure_on and level_set_on, which take and return Fractions.
+# fixed_structure_on, level_set_on, uncovered_position and follow_cycle,
+# which take and return Fractions.
 # ---------------------------------------------------------------------------
 
 Q = tuple[int, int]
@@ -369,14 +375,14 @@ def _compose(outer: Pairs, inner: Pairs, piece_budget: int) -> Pairs:
 def _iterates(f: Pairs, first: Pairs, upto: int, piece_budget: int) -> Iterator[Pairs]:
     """first, f o first, ..., f^(upto-1) o first: one composition per step.
 
-    Every composed iterate gets the check PwlMap applies, that its values
-    lie in f's domain, without a second copy of its breakpoints.
+    f must be a checked self-map and first's values must lie in its
+    domain.  Then every value of f o g is a value of f, so each iterate's
+    values lie in f's domain without a check.
     """
     pairs = first
     yield pairs
     for _ in range(upto - 1):
         pairs = _compose(f, pairs, piece_budget)
-        _check_values(pairs, f)
         yield pairs
 
 
@@ -460,6 +466,53 @@ def _within_levels(pairs: Pairs, lo: Q, hi: Q) -> list[tuple[Q, Q]]:
 _ASCENDING = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 
 
+def _image(pairs: Pairs, lo: Q, hi: Q) -> tuple[Q, Q]:
+    """The least and the greatest value of f over [lo, hi]."""
+    if not _holds(pairs, lo, hi):
+        raise OutOfDomain(f"{_span((lo, hi))} outside domain {_span(pairs)}")
+    i, j = _locate(pairs, *lo), _locate(pairs, *hi)
+    values = [_value_at(pairs, i, *lo), _value_at(pairs, j, *hi)]
+    values += (p[2:] for p in pairs[i:j])
+    return min(values, key=_ASCENDING), max(values, key=_ASCENDING)
+
+
+def _branches(pairs: Pairs, J: tuple[Q, Q], K: tuple[Q, Q]) -> list[tuple[Q, Q]]:
+    """PwlMap.preimage_branches on spans; f(J) must cover K."""
+    if J[0] == J[1]:
+        return [J]  # f(J) covers K, so K is the one point f(J)
+    pairs = _restrict(pairs, *J)
+    lo, hi = K
+    if lo == hi:
+        return _within_levels(pairs, lo, lo)
+    lo_hits = _within_levels(pairs, lo, lo)
+    hi_hits = _within_levels(pairs, hi, hi)
+
+    def within(a: Q, b: Q, hits: list[tuple[Q, Q]]) -> list[tuple[Q, Q]]:
+        return [h for h in hits if _le(a, h[0]) and _le(h[1], b)]
+
+    branches: list[tuple[Q, Q]] = []
+    for a, b in _within_levels(pairs, lo, hi):
+        lo_in, hi_in = within(a, b, lo_hits), within(a, b, hi_hits)
+        if not lo_in or not hi_in:
+            continue  # the component does not map onto all of K
+        first_lo, last_lo = lo_in[0][0], lo_in[-1][1]
+        first_hi, last_hi = hi_in[0][0], hi_in[-1][1]
+        cands = []
+        if not _le(last_hi, first_lo):
+            cands.append((first_lo, last_hi))
+        if not _le(last_lo, first_hi):
+            cands.append((first_hi, last_lo))
+        # inclusion-maximal only: with two candidates one may swallow the other
+        branches += [
+            c for c in cands
+            if not any(o != c and _le(o[0], c[0]) and _le(c[1], o[1]) for o in cands)
+        ]
+    # no two branches start together: a start maps onto K.lo or K.hi, and
+    # the components are disjoint
+    branches.sort(key=lambda c: _ASCENDING(c[0]))
+    return branches
+
+
 def _intervals(spans: Iterable[tuple[Q, Q]]) -> list[Interval]:
     return [Interval(_fraction(a), _fraction(b)) for a, b in spans]
 
@@ -468,6 +521,18 @@ def _fixed_points(pairs: Pairs) -> "FixedPoints":
     """The solutions of f(x) = x on pairs, as Fractions."""
     points, laps = _fixed_structure(pairs)
     return FixedPoints(tuple(map(_fraction, points)), tuple(_intervals(laps)))
+
+
+def _solve_on(
+    f: Pairs, lo: Q, hi: Q, n: int, piece_budget: int
+) -> tuple[list[Q], list[tuple[Q, Q]]]:
+    """_fixed_structure of f^n on [lo, hi]; a degenerate window is one walk."""
+    if lo == hi:
+        cur = lo
+        for _ in range(n):
+            cur = _eval_pairs(f, cur)
+        return [lo] if cur == lo else [], []
+    return _fixed_structure(_last(_iterates(f, _restrict(f, lo, hi), n, piece_budget)))
 
 
 def fixed_structure_on(
@@ -482,20 +547,15 @@ def fixed_structure_on(
     scales with the window's share of the breakpoints.  A degenerate
     window yields its point when f^n fixes it.
     """
-    if window.is_degenerate:
-        y = cur = window.lo
-        for _ in range(n):
-            cur = f(cur)
-        return FixedPoints((y,) if cur == y else ())
-    first = _restrict(f._pairs, _q(window.lo), _q(window.hi))
-    return _fixed_points(_last(_iterates(f._pairs, first, n, piece_budget)))
+    points, laps = _solve_on(f._pairs, *window._span, n, piece_budget)
+    return FixedPoints(tuple(map(_fraction, points)), tuple(_intervals(laps)))
 
 
 def level_set_on(f: "PwlMap", c: Fraction, window: Interval) -> list[Interval]:
     """Maximal closed components of {x in window : f(x) = c}, ascending."""
     if window.is_degenerate:
         return [window] if f(window.lo) == c else []
-    pairs = _restrict(f._pairs, _q(window.lo), _q(window.hi))
+    pairs = _restrict(f._pairs, *window._span)
     return _intervals(_within_levels(pairs, _q(c), _q(c)))
 
 
@@ -534,7 +594,7 @@ class PwlMap:
 
     @classmethod
     def _of(cls, pairs: Pairs) -> "PwlMap":
-        """Wrap canonical self-map pairs that the kernel has already checked."""
+        """Wrap canonical pairs the kernel made from a checked self-map."""
         f = object.__new__(cls)
         object.__setattr__(f, "_pairs", pairs)
         return f
@@ -566,27 +626,17 @@ class PwlMap:
         pairs = self._pairs
         return PwlMap._of(_last(_iterates(pairs, pairs, n, piece_budget)))
 
-    def _image(self, J: Interval) -> tuple[Q, Q]:
-        """The least and the greatest value of f over J."""
-        pairs, lo, hi = self._pairs, _q(J.lo), _q(J.hi)
-        if not _holds(self._pairs, lo, hi):
-            raise OutOfDomain(f"{J} outside domain {self.domain}")
-        i, j = _locate(pairs, *lo), _locate(pairs, *hi)
-        values = [_value_at(pairs, i, *lo), _value_at(pairs, j, *hi)]
-        values += (p[2:] for p in pairs[i:j])
-        return min(values, key=_ASCENDING), max(values, key=_ASCENDING)
-
     def image(self, J: Interval) -> Interval:
         """The exact image interval f(J) = [min f, max f] over J."""
-        least, most = self._image(J)
+        least, most = _image(self._pairs, *J._span)
         return Interval(_fraction(least), _fraction(most))
 
     def covers(self, J: Interval, K: Interval) -> bool:
         """True when f(J) contains K."""
-        lo, hi = _q(K.lo), _q(K.hi)
+        lo, hi = K._span
         if not _holds(self._pairs, lo, hi):
             raise OutOfDomain(f"{K} outside domain {self.domain}")
-        least, most = self._image(J)
+        least, most = _image(self._pairs, *J._span)
         return _le(least, lo) and _le(hi, most)
 
     def preimage_branches(self, J: Interval, K: Interval) -> list[Interval]:
@@ -596,41 +646,13 @@ class PwlMap:
         left endpoint and pairwise non-nested.  For degenerate K these are
         the components of the level set inside J.  Within every component
         of {x in J : f(x) in K} whose image is all of K and whose endpoints
-        map onto K's boundary, the branches cover the component.
+        map onto K's boundary, the branches cover the component.  The
+        search runs on the kernel's integer pairs, the same core that
+        follows the chains of :func:`follow_cycle`.
         """
         if not self.covers(J, K):
             raise NotCovering(f"f({J}) does not contain {K}")
-        if K.is_degenerate:
-            return level_set_on(self, K.lo, J)
-        pairs = _restrict(self._pairs, _q(J.lo), _q(J.hi))
-        lo, hi = _q(K.lo), _q(K.hi)
-        lo_hits = _within_levels(pairs, lo, lo)
-        hi_hits = _within_levels(pairs, hi, hi)
-
-        def within(a: Q, b: Q, hits: list[tuple[Q, Q]]) -> list[tuple[Q, Q]]:
-            return [h for h in hits if _le(a, h[0]) and _le(h[1], b)]
-
-        branches: list[tuple[Q, Q]] = []
-        for a, b in _within_levels(pairs, lo, hi):
-            lo_in, hi_in = within(a, b, lo_hits), within(a, b, hi_hits)
-            if not lo_in or not hi_in:
-                continue  # the component does not map onto all of K
-            first_lo, last_lo = lo_in[0][0], lo_in[-1][1]
-            first_hi, last_hi = hi_in[0][0], hi_in[-1][1]
-            cands = []
-            if not _le(last_hi, first_lo):
-                cands.append((first_lo, last_hi))
-            if not _le(last_lo, first_hi):
-                cands.append((first_hi, last_lo))
-            # inclusion-maximal only: with two candidates one may swallow the other
-            branches += [
-                c for c in cands
-                if not any(o != c and _le(o[0], c[0]) and _le(c[1], o[1]) for o in cands)
-            ]
-        # no two branches start together: a start maps onto K.lo or K.hi, and
-        # the components are disjoint
-        branches.sort(key=lambda c: _ASCENDING(c[0]))
-        return _intervals(branches)
+        return _intervals(_branches(self._pairs, J._span, K._span))
 
     def clamp(self, lo: RationalLike, hi: RationalLike) -> "PwlMap":
         """median(lo, f(x), hi) with exact breakpoints where f crosses the bounds."""
@@ -779,13 +801,17 @@ def point_of_least_period_in_lap(
     leftmost cut or piece midpoint of least period k is returned, or None
     when the lap has none.  A degenerate lap is its only candidate.
     """
+    rep = _lap_point(f._pairs, k, *lap._span, piece_budget)
+    return None if rep is None else _fraction(rep)
+
+
+def _lap_point(f: Pairs, k: int, lo: Q, hi: Q, piece_budget: int) -> Optional[Q]:
+    """point_of_least_period_in_lap on the lap [lo, hi]."""
     if k == 1:
-        return lap.lo
-    lo, hi = _q(lap.lo), _q(lap.hi)
+        return lo
     cuts = {lo, hi}
-    if not lap.is_degenerate:
-        first = _restrict(f._pairs, lo, hi)
-        chain = _iterates(f._pairs, first, divisors(k)[-2], piece_budget)
+    if lo != hi:
+        chain = _iterates(f, _restrict(f, lo, hi), divisors(k)[-2], piece_budget)
         for d, g in enumerate(chain, start=1):
             if k % d == 0:
                 cuts.update(_fixed_structure(g)[0])
@@ -795,8 +821,8 @@ def point_of_least_period_in_lap(
         # the midpoint: the value at 1 of the line through (0, a) and (2, b)
         candidates += [_lerp(0, 1, *a, 2, 1, *b, 1, 1), b]
     for c in candidates:
-        if len(_orbit_walk(f._pairs, c, k)) == k:
-            return _fraction(c)
+        if len(_orbit_walk(f, c, k)) == k:
+            return c
     return None
 
 
@@ -881,3 +907,137 @@ def is_orbit_of(f: PwlMap, orbit: Orbit) -> bool:
         seen.add(cur)
         cur = perm[cur]
     return len(seen) == len(pts) and cur == 0
+
+
+# ---------------------------------------------------------------------------
+# points following an interval cycle
+# ---------------------------------------------------------------------------
+
+
+def uncovered_position(f: PwlMap, loop: IntervalLoop) -> Optional[int]:
+    """The first i at which f(J_i) does not cover J_(i+1 mod n); None for a cycle."""
+    checked = set()  # a loop often repeats a step; each is checked once
+    for i, J in enumerate(loop):
+        K = loop[(i + 1) % len(loop)]
+        if (J._span, K._span) not in checked:
+            if not f.covers(J, K):
+                return i
+            checked.add((J._span, K._span))
+    return None
+
+
+def follow_cycle(
+    f: PwlMap,
+    loop: IntervalLoop,
+    require_least_period: bool = False,
+    piece_budget: int = DEFAULT_PIECE_BUDGET,
+) -> Optional[Fraction]:
+    """The first point y met with f^i(y) in J_i for each i and f^n(y) = y.
+
+    The loop must be a cycle (see :func:`uncovered_position`).  When every
+    J_i is nondegenerate and lies in one lap of nonzero slope, f^n is
+    affine on the one chain start and y is one solve.  Otherwise the
+    chain starts are searched leftmost first and f^n is solved on each.
+    With ``require_least_period`` only a point of least period exactly n
+    is accepted, and each identity lap of f^n on a chain start offers the
+    representative of :func:`point_of_least_period_in_lap`.  None when no
+    point qualifies.  Only the returned point becomes a Fraction.
+    """
+    pairs, spans = f._pairs, [J._span for J in loop]
+    n = len(spans)
+    for y in _cycle_candidates(pairs, spans, require_least_period, piece_budget):
+        period = _return_time(pairs, y, spans)
+        if period is not None and (not require_least_period or period == n):
+            return _fraction(y)
+    return None
+
+
+def _cycle_candidates(
+    f: Pairs, spans: list[tuple[Q, Q]], least: bool, piece_budget: int
+) -> Iterator[Q]:
+    """The solutions of f^n(x) = x on the chain starts, in search order.
+
+    A lap-aligned cycle offers its one solution.  Otherwise each chain
+    start offers its solutions ascending and, when a least period is
+    required, the representative of each identity lap that has one.
+    """
+    y = _lap_aligned_solution(f, spans)
+    if y is not None:
+        yield y
+        return
+    n = len(spans)
+    for lo, hi in _chain_starts(f, spans):
+        points, laps = _solve_on(f, lo, hi, n, piece_budget)
+        yield from points
+        if least:
+            for a, b in laps:
+                rep = _lap_point(f, n, a, b, piece_budget)
+                if rep is not None:
+                    yield rep
+
+
+def _lap_aligned_solution(f: Pairs, spans: list[tuple[Q, Q]]) -> Optional[Q]:
+    """The one solution of f^n(x) = x on the chain start of a lap-aligned cycle.
+
+    A cycle is lap-aligned when every span is nondegenerate and lies in
+    one lap.  A flat lap covers only a point, so each of these laps has
+    nonzero slope and each step is affine and one-to-one.  Hence the
+    chain is unique and f^n on its start L_0 is x -> A x + B, mapping L_0
+    onto J_0, which holds L_0.  With A != 1 the one root B / (1 - A)
+    therefore lies in L_0.  None when the cycle is not lap-aligned, and
+    when A = 1: then L_0 = J_0 is an identity lap of f^n.
+    """
+    u, v, w = 1, 0, 1  # f^i on L_0 is x -> (u x + v) / w, w > 0
+    for lo, hi in spans:
+        i = _locate(f, *lo)
+        if lo == hi or not 0 < i < len(f) or not _le(hi, f[i]):
+            return None
+        (x0n, x0d, y0n, y0d), (x1n, x1d, y1n, y1d) = f[i - 1], f[i]
+        # the lap is x -> (p x + r) / d over the denominator x0d x1d y0d y1d
+        p = (y1n * y0d - y0n * y1d) * x0d * x1d
+        r = y0n * y1d * x1n * x0d - y1n * y0d * x0n * x1d
+        d = (x1n * x0d - x0n * x1d) * y0d * y1d
+        u, v, w = p * u, p * v + r * w, d * w
+        g = gcd(u, v, w)
+        u, v, w = u // g, v // g, w // g
+    if u == w:
+        return None
+    g = gcd(v, w - u)
+    if w < u:
+        g = -g
+    return v // g, (w - u) // g
+
+
+def _chain_starts(f: Pairs, spans: list[tuple[Q, Q]]) -> Iterator[tuple[Q, Q]]:
+    """L_0 of every chain (L_0 .. L_(n-1)) with L_i in J_i and f(L_i) = L_(i+1).
+
+    Here L_n = J_0.  The chains are built backward from L_(n-1) with an
+    explicit stack, leftmost branch first at every level, so the emitted
+    order is deterministic and no recursion limit caps n.
+    """
+    n = len(spans)
+    stack = [iter(_branches(f, spans[-1], spans[0]))]
+    while stack:
+        branch = next(stack[-1], None)
+        if branch is None:
+            stack.pop()
+        elif len(stack) == n:
+            yield branch
+        else:
+            stack.append(iter(_branches(f, spans[n - 1 - len(stack)], branch)))
+
+
+def _return_time(f: Pairs, y: Q, spans: list[tuple[Q, Q]]) -> Optional[int]:
+    """The least period of y when f^i(y) lies in J_i for each i and f^n(y) = y.
+
+    One walk of n steps checks the itinerary and notes the first return;
+    None when the itinerary fails.
+    """
+    cur, first_return = y, None
+    for i, (lo, hi) in enumerate(spans, start=1):
+        if not (_le(lo, cur) and _le(cur, hi)):
+            return None
+        cur = _eval_pairs(f, cur)
+        if first_return is None and cur == y:
+            first_return = i
+    return first_return if cur == y else None

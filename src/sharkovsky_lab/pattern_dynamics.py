@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from . import witnesses
@@ -137,8 +138,16 @@ class MarkovGraph:
     node_count: int
     edges: frozenset[tuple[int, int]]
 
+    @cached_property
+    def _successors(self) -> dict[int, list[int]]:
+        """Each node's successors, ascending, built once per graph."""
+        succ: dict[int, list[int]] = {i: [] for i in range(1, self.node_count + 1)}
+        for a, j in sorted(self.edges):
+            succ.setdefault(a, []).append(j)
+        return succ
+
     def successors(self, i: int) -> list[int]:
-        return sorted(j for (a, j) in self.edges if a == i)
+        return list(self._successors.get(i, ()))
 
     def has_edge(self, i: int, j: int) -> bool:
         return (i, j) in self.edges
@@ -176,7 +185,7 @@ def iter_closed_walks(graph: MarkovGraph, n: int) -> Iterator[tuple[int, ...]]:
     """
     if n < 1:
         raise ValueError("walk length must be >= 1")
-    succ = {i: graph.successors(i) for i in range(1, graph.node_count + 1)}
+    succ = graph._successors
     for start in range(1, graph.node_count + 1):
         # depth-first with an explicit stack: stack[j] yields the candidates
         # for position j of the walk, none below start

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import (
     CertificationFailed,
@@ -37,11 +37,13 @@ from .exact_pwl import (
     PwlMap,
     as_fraction,
     fixed_structure_on,
+    follow_cycle,
     is_orbit_of,
     least_period,
     level_set_on,
     orbit_of,
     point_of_least_period_in_lap,
+    uncovered_position,
 )
 
 # ---------------------------------------------------------------------------
@@ -187,42 +189,6 @@ def period_two_from_orbit(f: PwlMap, orbit: Orbit) -> PeriodTwoWitness:
 # ---------------------------------------------------------------------------
 
 
-def _chain_starts(f: PwlMap, intervals: tuple[Interval, ...]) -> Iterator[Interval]:
-    """L_0 of every chain (L_0 .. L_{n-1}) with L_i in J_i and f(L_i) = L_{i+1}.
-
-    Here L_n = J_0.  The chains are built backward from L_{n-1} with an
-    explicit stack, leftmost branch first at every level, so the emitted
-    order is deterministic and no recursion limit caps n.
-    """
-    n = len(intervals)
-    stack = [iter(f.preimage_branches(intervals[-1], intervals[0]))]
-    while stack:
-        branch = next(stack[-1], None)
-        if branch is None:
-            stack.pop()
-        elif len(stack) == n:
-            yield branch
-        else:
-            level = n - 1 - len(stack)
-            stack.append(iter(f.preimage_branches(intervals[level], branch)))
-
-
-def _return_time(f: PwlMap, y: Fraction, loop: IntervalLoop) -> Optional[int]:
-    """The least period of y when f^i(y) lies in J_i for each i and f^n(y) = y.
-
-    One walk of n steps checks the itinerary and notes the first return;
-    None when the itinerary fails.
-    """
-    cur, first_return = y, None
-    for i, J in enumerate(loop, start=1):
-        if not J.contains(cur):
-            return None
-        cur = f(cur)
-        if first_return is None and cur == y:
-            first_return = i
-    return first_return if cur == y else None
-
-
 def periodic_point_from_cycle(
     f: PwlMap,
     loop: IntervalLoop,
@@ -232,30 +198,25 @@ def periodic_point_from_cycle(
     """A point y with f^i(y) in J_i for each i and f^n(y) = y.
 
     The chain of intervals must be a cycle: each f(J_i) covers J_{i+1}
-    cyclically.  The point is found by nesting preimage branches backward
-    and solving the restricted composition exactly on the innermost
+    cyclically.  When every J_i is nondegenerate and lies in one lap of f
+    with nonzero slope, f^n on the chain start is affine and the point is
+    one exact solve; a slope product of +1 makes the start an identity
+    lap, which is searched like the general case.  Otherwise the point is
+    found by nesting preimage branches backward, leftmost first, and
+    solving the restricted composition exactly on each innermost
     interval.  With ``require_least_period`` the branches are explored
     depth-first until a point of least period exactly n appears; if every
     branch yields only shorter periods, :class:`NoLeastPeriodWitness` is
     raised.
     """
     n = len(loop)
-    for i in range(n):
+    i = uncovered_position(f, loop)
+    if i is not None:
         J, K = loop[i], loop[(i + 1) % n]
-        if not f.covers(J, K):
-            raise NotACycle(f"f({J}) does not cover {K} at position {i}")
-
-    for start in _chain_starts(f, loop.intervals):
-        fps = fixed_structure_on(f, start, n, piece_budget)
-        for y in fps.points:
-            period = _return_time(f, y, loop)
-            if period is not None and (not require_least_period or period == n):
-                return y
-        if require_least_period:
-            for lap in fps.identity_laps:
-                rep = point_of_least_period_in_lap(f, n, lap, piece_budget)
-                if rep is not None and _return_time(f, rep, loop) is not None:
-                    return rep
+        raise NotACycle(f"f({J}) does not cover {K} at position {i}")
+    y = follow_cycle(f, loop, require_least_period, piece_budget)
+    if y is not None:
+        return y
     if require_least_period:
         raise NoLeastPeriodWitness(
             f"every branch of the length-{n} cycle has only shorter periods"
@@ -512,13 +473,13 @@ def forcing_cycle(trace: OddOrbitTrace, n: int) -> IntervalLoop:
             )
 
     cycle = IntervalLoop(tuple(loop))
-    for i in range(len(cycle)):
+    i = uncovered_position(trace.map, cycle)
+    if i is not None:
         J, K = cycle[i], cycle[(i + 1) % len(cycle)]
-        if not trace.map.covers(J, K):
-            raise NotACycle(
-                f"internal covering check failed at position {i}: "
-                f"f({J}) misses {K}; this is a bug"
-            )
+        raise NotACycle(
+            f"internal covering check failed at position {i}: "
+            f"f({J}) misses {K}; this is a bug"
+        )
     return cycle
 
 

@@ -707,6 +707,18 @@ class TestIntegerKernel:
         assert got == chain(ref_iterates, f.breakpoints, tuple)
 
     @settings(max_examples=150, deadline=None)
+    @given(maps_and_windows(), st.integers(min_value=1, max_value=4), st.booleans())
+    def test_every_iterate_takes_values_in_the_domain(self, case, n, whole):
+        # _iterates checks no values: f o g only takes values of the self-map f
+        f, a, b = case
+        first = f._pairs if whole else exact_pwl._restrict(
+            f._pairs, (a.numerator, a.denominator), (b.numerator, b.denominator)
+        )
+        dom = f.domain
+        for g in exact_pwl._iterates(f._pairs, first, n, exact_pwl.DEFAULT_PIECE_BUDGET):
+            assert all(dom.contains(F(yn, yd)) for _, _, yn, yd in g)
+
+    @settings(max_examples=150, deadline=None)
     @given(
         st.lists(
             st.tuples(

@@ -9,6 +9,7 @@ from sharkovsky_lab import (
     CyclicPattern,
     Interval,
     InvalidPattern,
+    MarkovGraph,
     NotAWalk,
     NotOddPeriod,
     WalkBudgetExceeded,
@@ -186,6 +187,24 @@ class TestClosedWalks:
         graph = markov_graph(THREE_CYCLE)
         with pytest.raises(WalkBudgetExceeded):
             closed_walks(graph, 3, walk_budget=1)
+
+    def test_successor_table_is_built_once_per_graph(self):
+        class CountedEdges(frozenset):
+            passes = 0
+
+            def __iter__(self):
+                CountedEdges.passes += 1
+                return super().__iter__()
+
+        plain = markov_graph(stefan_pattern(5))
+        graph = MarkovGraph(plain.node_count, CountedEdges(plain.edges))
+        for n in (3, 4, 5):
+            assert closed_walks(graph, n) == closed_walks(plain, n)
+        for i in range(1, graph.node_count + 1):
+            assert graph.successors(i) == sorted(j for a, j in plain.edges if a == i)
+            graph.successors(i).clear()  # a caller's copy, not the table
+        assert graph.successors(1) == plain.successors(1)
+        assert CountedEdges.passes == 1
 
 
 class TestLoopToIntervals:

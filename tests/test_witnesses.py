@@ -1,5 +1,6 @@
 """Constructive witnesses: crossed pairs, interval cycles, odd-orbit forcing."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -31,20 +32,26 @@ from sharkovsky_lab import (
     UnsupportedPeriodForCase,
     all_patterns,
     analyze_odd_orbit,
+    closed_walks,
     connect_the_dots,
     forcing_cycle,
     least_period,
     loop_to_intervals,
+    markov_graph,
     odd_period_witness,
     orbit_of,
     period_two_from_crossing,
     period_two_from_orbit,
+    periodic_orbits,
     periodic_point_from_cycle,
+    point_of_least_period_in_lap,
     random_pattern,
+    realized_periods,
     stefan_pattern,
     witness_from_trace,
     witnesses,
 )
+from sharkovsky_lab import cli, exact_pwl
 from sharkovsky_lab.exact_pwl import fixed_structure_on
 
 THREE_CYCLE = CyclicPattern((2, 3, 1))
@@ -280,6 +287,208 @@ class TestPeriodicPointFromCycle:
                         for _ in range(n):
                             cur = f(cur)
                         assert cur == y
+
+
+# ---------------------------------------------------------------------------
+# the Fraction chain search that preceded the integer one, kept as the
+# reference the cycle search must agree with
+# ---------------------------------------------------------------------------
+
+
+def reference_chain_starts(f, intervals):
+    n = len(intervals)
+    stack = [iter(f.preimage_branches(intervals[-1], intervals[0]))]
+    while stack:
+        branch = next(stack[-1], None)
+        if branch is None:
+            stack.pop()
+        elif len(stack) == n:
+            yield branch
+        else:
+            level = n - 1 - len(stack)
+            stack.append(iter(f.preimage_branches(intervals[level], branch)))
+
+
+def reference_return_time(f, y, loop):
+    cur, first_return = y, None
+    for i, J in enumerate(loop, start=1):
+        if not J.contains(cur):
+            return None
+        cur = f(cur)
+        if first_return is None and cur == y:
+            first_return = i
+    return first_return if cur == y else None
+
+
+def reference_point_from_cycle(f, loop, require_least_period=False):
+    """Nest preimage branches backward and solve f^n on every chain start."""
+    n = len(loop)
+    for i in range(n):
+        J, K = loop[i], loop[(i + 1) % n]
+        if not f.covers(J, K):
+            raise NotACycle(f"f({J}) does not cover {K} at position {i}")
+    for start in reference_chain_starts(f, loop.intervals):
+        fps = fixed_structure_on(f, start, n)
+        for y in fps.points:
+            period = reference_return_time(f, y, loop)
+            if period is not None and (not require_least_period or period == n):
+                return y
+        if require_least_period:
+            for lap in fps.identity_laps:
+                rep = point_of_least_period_in_lap(f, n, lap)
+                if rep is not None and reference_return_time(f, rep, loop) is not None:
+                    return rep
+    if require_least_period:
+        raise NoLeastPeriodWitness(
+            f"every branch of the length-{n} cycle has only shorter periods"
+        )
+    raise CertificationFailed("a covering cycle must yield a periodic point")
+
+
+def assert_cycle_search_matches_the_reference(f, loop, least):
+    outcomes = []
+    for search in (periodic_point_from_cycle, reference_point_from_cycle):
+        try:
+            outcomes.append(search(f, loop, require_least_period=least))
+        except (NotACycle, NoLeastPeriodWitness, CertificationFailed) as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+
+
+FOUR_DOUBLING = CyclicPattern((3, 4, 2, 1))  # slopes 1, -2, -1
+#: Patterns whose realizations have laps of slope +-1; IDENTITY stands in
+#: for the one-lap map of slope 1, which no pattern realizes.
+LAP_SLOPE_ONE_PATTERNS = [CyclicPattern((2, 1)), THREE_CYCLE, FOUR_DOUBLING]
+
+
+@st.composite
+def lap_aligned_cycles(draw):
+    """A map and a cycle J_0 .. J_(n-1) with every J_i inside one lap.
+
+    The laps follow a closed walk of the covering graph.  J_0 is its whole
+    lap; every later J_i is a random window of its lap around the part f
+    maps onto J_(i+1), so f(J_i) covers J_(i+1).  On NEG, and on the
+    four-doubling map's two laps of slope 1 and -1, the slope product is
+    +1 or -1.
+    """
+    n = draw(st.integers(min_value=1, max_value=6))
+    pattern = draw(st.sampled_from([None, *LAP_SLOPE_ONE_PATTERNS]))
+    if pattern is None:
+        f, laps = IDENTITY, [Interval(0, 1)] * n
+    else:
+        f = connect_the_dots(pattern)
+        walks = closed_walks(markov_graph(pattern), n)
+        laps = list(loop_to_intervals(pattern, draw(st.sampled_from(walks))))
+    shares = st.fractions(min_value=0, max_value=1, max_denominator=6)
+    loop = [laps[0]]
+    for lap in reversed(laps[1:]):
+        (branch,) = f.preimage_branches(lap, loop[-1])
+        loop.append(Interval(
+            branch.lo - (branch.lo - lap.lo) * draw(shares),
+            branch.hi + (lap.hi - branch.hi) * draw(shares),
+        ))
+    return f, IntervalLoop((loop[0], *reversed(loop[1:])))
+
+
+@st.composite
+def cycles_through_a_point(draw):
+    """A cycle with a degenerate J_i, built along a periodic orbit.
+
+    J_0 is the point y_0 of an orbit of period k; each later J_i holds
+    y_i = f^i(y_0) and is that point or a random window of f(J_(i-1))
+    around it.  The cycle runs r times round the orbit and is rotated.
+    """
+    m = draw(st.integers(min_value=3, max_value=6))
+    f = connect_the_dots(draw(st.sampled_from(list(all_patterns(m)))))
+    k = draw(st.integers(min_value=1, max_value=4))
+    orbits = periodic_orbits(f, k).orbits
+    if not orbits:
+        orbits = (orbit_of(f, 0),)
+    y = draw(st.sampled_from(orbits)).minimum
+    n = len(orbit_of(f, y)) * draw(st.integers(min_value=1, max_value=2))
+    shares = st.fractions(min_value=0, max_value=1, max_denominator=6)
+    loop = [Interval(y, y)]
+    for _ in range(n - 1):
+        img, y = f.image(loop[-1]), f(y)
+        if draw(st.booleans()):
+            loop.append(Interval(y, y))
+        else:
+            loop.append(Interval(
+                y - (y - img.lo) * draw(shares), y + (img.hi - y) * draw(shares)
+            ))
+    turn = draw(st.integers(min_value=0, max_value=n - 1))
+    return f, IntervalLoop(tuple(loop[turn:] + loop[:turn]))
+
+
+class TestCycleSearchMatchesTheReference:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=3, max_value=7),
+        st.randoms(use_true_random=False),
+        st.integers(min_value=1, max_value=8),
+        st.booleans(),
+    )
+    def test_every_closed_walk(self, m, rng, n, least):
+        pattern = random_pattern(m, rng)
+        f = connect_the_dots(pattern)
+        for walk in closed_walks(markov_graph(pattern), n):
+            loop = loop_to_intervals(pattern, walk)
+            assert_cycle_search_matches_the_reference(f, loop, least)
+
+    @settings(max_examples=150, deadline=None)
+    @given(lap_aligned_cycles(), st.booleans())
+    def test_lap_aligned_cycles(self, case, least):
+        f, loop = case
+        assert_cycle_search_matches_the_reference(f, loop, least)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cycles_through_a_point(), st.booleans())
+    def test_cycles_with_a_degenerate_interval(self, case, least):
+        f, loop = case
+        assert_cycle_search_matches_the_reference(f, loop, least)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([5, 7, 9]), st.randoms(use_true_random=False), st.booleans())
+    def test_forcing_cycles_of_odd_orbits(self, m, rng, least):
+        f = connect_the_dots(random_pattern(m, rng))
+        trace = analyze_odd_orbit(f, orbit_of(f, 0))
+        lengths = [3] if trace.case.yields_period_three else [2, 4, 6, 8, 10, m + 2]
+        for n in lengths:
+            loop = forcing_cycle(trace, n)
+            assert_cycle_search_matches_the_reference(trace.map, loop, least)
+
+    def test_slope_products_one_and_minus_one(self):
+        odd = IntervalLoop((Interval(0, 1),) * 3)  # NEG^3 reflects [0, 1]
+        assert periodic_point_from_cycle(NEG, odd) == F(1, 2)
+        with pytest.raises(NoLeastPeriodWitness):
+            periodic_point_from_cycle(NEG, odd, require_least_period=True)
+        for n in (2, 4):  # NEG^n is the identity on [0, 1]
+            even = IntervalLoop((Interval(0, 1),) * n)
+            assert periodic_point_from_cycle(NEG, even) == 0
+            assert_cycle_search_matches_the_reference(NEG, even, True)
+        with pytest.raises(NoLeastPeriodWitness):
+            periodic_point_from_cycle(NEG, even, require_least_period=True)
+
+    def test_walks_over_laps_of_slope_product_not_one_never_branch(self, monkeypatch):
+        direct = realized_periods(stefan_pattern(5), 8, method="direct")
+        calls = {}
+        for name in ("_branches", "_compose"):
+            def counted(*args, _name=name, _original=getattr(exact_pwl, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args)
+
+            monkeypatch.setattr(exact_pwl, name, counted)
+        assert realized_periods(stefan_pattern(5), 8, method="walks") == direct
+        assert calls == {}
+        # the swap's length-4 walk is an identity lap of f^4: the general search
+        assert realized_periods(CyclicPattern((2, 1)), 4, method="walks") == {1, 2}
+        assert calls["_branches"] > 0 and calls["_compose"] > 0
+
+    def test_long_witness_output_is_pinned(self, capsys):
+        argv = ["witness", "odd", "--json", "--pattern", "1>2>3", "--period", "2000"]
+        assert cli.run(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.md5(out.encode()).hexdigest() == "3a62a424110586ddc2839c54100936c3"
 
 
 class TestAnalyzeOddOrbit:
