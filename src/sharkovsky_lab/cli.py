@@ -122,9 +122,9 @@ def _cmd_witness(args) -> None:
             "left_fixed": _fmt_opt(w.left_fixed),
             "lower_preimage": _fmt_opt(w.lower_preimage),
             "witness": format_rational(w.point),
-            "orbit": orbit_to_list(orbit_of(f, w.point)),
         }
         if args.json:
+            payload["orbit"] = orbit_to_list(orbit_of(f, w.point, max_steps=2))
             _emit_json(payload)
         else:
             print(f"least period 2 point: {payload['witness']}")
@@ -149,9 +149,12 @@ def _cmd_witness(args) -> None:
             "upper_relay": _fmt_opt(trace.upper_relay),
             "lower_relay": _fmt_opt(trace.lower_relay),
             "witness": format_rational(point),
-            "orbit": orbit_to_list(orbit_of(f, point)),
         }
         if args.json:
+            # the period is certified, so the walk returns within that many steps
+            payload["orbit"] = orbit_to_list(
+                orbit_of(f, point, max_steps=args.period)
+            )
             _emit_json(payload)
         else:
             print(f"least period {args.period} point: {payload['witness']}")

@@ -890,23 +890,29 @@ def periodic_orbits_upto(
     )
 
 
+def orbit_permutation(f: PwlMap, orbit: Orbit) -> Optional[tuple[int, ...]]:
+    """The one-line rank map sigma of the orbit: f(x_i) = x_sigma(i).
+
+    Ranks count from 1 over the ascending points, and ``sigma[i - 1]`` is
+    sigma(i).  None unless f permutes the points in a single cycle.
+    """
+    pts = orbit.points
+    rank = {p: i for i, p in enumerate(pts, start=1)}
+    try:
+        sigma = tuple(rank.get(f(p)) for p in pts)
+    except OutOfDomain:
+        return None
+    if None in sigma:
+        return None
+    cur, steps = sigma[0], 1
+    while cur != 1 and steps < len(pts):
+        cur, steps = sigma[cur - 1], steps + 1
+    return sigma if cur == 1 and steps == len(pts) else None
+
+
 def is_orbit_of(f: PwlMap, orbit: Orbit) -> bool:
     """True when f permutes the orbit's points in a single cycle."""
-    pts = orbit.points
-    index = {p: i for i, p in enumerate(pts)}
-    try:
-        images = [f(p) for p in pts]
-    except OutOfDomain:
-        return False
-    if any(v not in index for v in images):
-        return False
-    perm = [index[v] for v in images]
-    seen = {0}
-    cur = perm[0]
-    while cur not in seen:
-        seen.add(cur)
-        cur = perm[cur]
-    return len(seen) == len(pts) and cur == 0
+    return orbit_permutation(f, orbit) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -38,10 +38,10 @@ from .exact_pwl import (
     as_fraction,
     fixed_structure_on,
     follow_cycle,
-    is_orbit_of,
     least_period,
     level_set_on,
     orbit_of,
+    orbit_permutation,
     point_of_least_period_in_lap,
     uncovered_position,
 )
@@ -159,15 +159,17 @@ def period_two_from_crossing(
     return witness
 
 
-def _require_orbit(f: PwlMap, orbit: Orbit) -> None:
-    if not is_orbit_of(f, orbit):
+def _require_orbit(f: PwlMap, orbit: Orbit) -> tuple[int, ...]:
+    """The orbit's rank permutation (see :func:`orbit_permutation`)."""
+    sigma = orbit_permutation(f, orbit)
+    if sigma is None:
         raise NotAnOrbit(f"{list(orbit.points)} is not a single orbit of the map")
+    return sigma
 
 
-def _switch_rank(f: PwlMap, orbit: Orbit) -> int:
-    """The 1-based rank s of the last orbit point with x < f(x)."""
-    ranks = [i for i, p in enumerate(orbit.points, start=1) if f(p) > p]
-    return max(ranks)
+def _switch_rank(sigma: tuple[int, ...]) -> int:
+    """The rank s of the last point moving right: the last i with sigma(i) > i."""
+    return max(i for i, r in enumerate(sigma, start=1) if r > i)
 
 
 def period_two_from_orbit(f: PwlMap, orbit: Orbit) -> PeriodTwoWitness:
@@ -175,10 +177,10 @@ def period_two_from_orbit(f: PwlMap, orbit: Orbit) -> PeriodTwoWitness:
 
     The last point moving right and its successor form a crossed pair.
     """
-    _require_orbit(f, orbit)
+    sigma = _require_orbit(f, orbit)
     if orbit.period <= 2:
         raise PeriodTooSmall(f"need period > 2, got {orbit.period}")
-    s = _switch_rank(f, orbit)
+    s = _switch_rank(sigma)
     c = orbit.points[s - 1]
     d = orbit.points[s]
     return period_two_from_crossing(f, c, d)
@@ -214,12 +216,19 @@ def periodic_point_from_cycle(
     if i is not None:
         J, K = loop[i], loop[(i + 1) % n]
         raise NotACycle(f"f({J}) does not cover {K} at position {i}")
+    return _point_on_cycle(f, loop, require_least_period, piece_budget)
+
+
+def _point_on_cycle(
+    f: PwlMap, loop: IntervalLoop, require_least_period: bool, piece_budget: int
+) -> Fraction:
+    """periodic_point_from_cycle on a loop already known to be a cycle."""
     y = follow_cycle(f, loop, require_least_period, piece_budget)
     if y is not None:
         return y
     if require_least_period:
         raise NoLeastPeriodWitness(
-            f"every branch of the length-{n} cycle has only shorter periods"
+            f"every branch of the length-{len(loop)} cycle has only shorter periods"
         )
     raise CertificationFailed("a covering cycle must yield a periodic point")
 
@@ -296,43 +305,28 @@ def _reflect_map(f: PwlMap) -> PwlMap:
     return PwlMap([(total - x, total - y) for x, y in reversed(f.breakpoints)])
 
 
-def _reflect_orbit(f: PwlMap, orbit: Orbit) -> Orbit:
-    dom = f.domain
-    total = dom.lo + dom.hi
-    return Orbit(tuple(total - p for p in orbit.points))
-
-
 def _analyze_oriented(
-    f: PwlMap, orbit: Orbit, mirrored: bool
+    f: PwlMap, orbit: Orbit, sigma: tuple[int, ...], mirrored: bool
 ) -> Optional[OddOrbitTrace]:
-    pts = orbit.points
-    m = len(pts)
-    s = _switch_rank(f, orbit)
-    x_s, x_s1 = pts[s - 1], pts[s]
-    z = fixed_structure_on(f, Interval(x_s, x_s1)).points[0]
+    """The trace read off the rank permutation sigma; None without a left straddle.
 
-    def on_left(p: Fraction) -> bool:
-        v = f(p)
-        if v <= x_s:
-            return True
-        if v < x_s1:
-            raise CertificationFailed("orbit values cannot enter the switch gap")
-        return False
-
-    straddles = [
-        t
-        for t in range(1, s)
-        if on_left(pts[t - 1]) != on_left(pts[t])
-    ]
+    Points compare by rank, f(x_i) being x_sigma(i); f itself is solved
+    only for the fixed point and the relays.
+    """
+    x = (None, *orbit.points)  # x[i] is the point of rank i
+    m = len(sigma)
+    s = _switch_rank(sigma)
+    # f(x_i) lies left of the switch interval exactly when sigma(i) <= s
+    straddles = [t for t in range(1, s) if (sigma[t - 1] <= s) != (sigma[t] <= s)]
     if not straddles:
         return None
     t = max(straddles)
-    x_t = pts[t - 1]
+    z = fixed_structure_on(f, Interval(x[s], x[s + 1])).points[0]
 
-    its = [x_s]
-    for _ in range(m):
-        its.append(f(its[-1]))
-    q = next(i for i in range(1, m + 1) if its[i] <= x_t)
+    its = [s]  # the ranks of x_s, f(x_s), ... up to the escape to x_t or below
+    while its[-1] > t:
+        its.append(sigma[its[-1] - 1])
+    q = len(its) - 1
     if not 2 <= q <= m - 1:
         raise CertificationFailed(f"escape time {q} out of range for period {m}")
 
@@ -349,27 +343,27 @@ def _analyze_oriented(
         return OddOrbitTrace(case=TraceCase.PERIOD_THREE, **kwargs)
 
     pre_escape = its[q - 1]
-    if pre_escape < x_s:
-        if pre_escape < pts[t]:
-            raise CertificationFailed(f"pre-escape point {pre_escape} left of x_(t+1)")
+    if pre_escape < s:
+        if pre_escape <= t:
+            raise CertificationFailed(
+                f"pre-escape point {x[pre_escape]} left of x_(t+1)"
+            )
         return OddOrbitTrace(case=TraceCase.PRE_ESCAPE_LEFT, **kwargs)
-    if pre_escape == x_s1:
+    if pre_escape == s + 1:
         return OddOrbitTrace(case=TraceCase.PRE_ESCAPE_AT_UPPER, **kwargs)
 
     rebound = next(i for i in range(1, q) if its[i] >= pre_escape)
     pre_rebound = its[rebound - 1]
-    if not pts[t] <= pre_rebound < pre_escape:
-        raise CertificationFailed(f"pre-rebound point {pre_rebound} out of range")
-    if pre_rebound >= x_s1:
+    if not t < pre_rebound < pre_escape:
+        raise CertificationFailed(f"pre-rebound point {x[pre_rebound]} out of range")
+    if pre_rebound > s:
         return OddOrbitTrace(
             case=TraceCase.REBOUND_ABOVE, rebound_time=rebound, **kwargs
         )
 
-    if pre_rebound > x_s:
-        raise CertificationFailed(f"pre-rebound point {pre_rebound} inside the switch gap")
-    fixed_preimage = _leftmost_solution(f, z, Interval(x_t, pts[t]))
-    upper_relay = _leftmost_solution(f, fixed_preimage, Interval(z, pre_escape))
-    lower_relay = _leftmost_solution(f, upper_relay, Interval(pre_rebound, z))
+    fixed_preimage = _leftmost_solution(f, z, Interval(x[t], x[t + 1]))
+    upper_relay = _leftmost_solution(f, fixed_preimage, Interval(z, x[pre_escape]))
+    lower_relay = _leftmost_solution(f, upper_relay, Interval(x[pre_rebound], z))
     return OddOrbitTrace(
         case=TraceCase.REBOUND_BELOW,
         rebound_time=rebound,
@@ -387,17 +381,18 @@ def analyze_odd_orbit(f: PwlMap, orbit: Orbit) -> OddOrbitTrace:
     when only right-side straddles exist the whole problem is reflected
     (x -> lo + hi - x) and the trace marked ``mirrored``.
     """
-    _require_orbit(f, orbit)
+    sigma = _require_orbit(f, orbit)
     if orbit.period % 2 == 0:
         raise EvenPeriod(f"need an odd period, got {orbit.period}")
     if orbit.period < 3:
         raise PeriodTooSmall("need period >= 3")
-    trace = _analyze_oriented(f, orbit, mirrored=False)
+    trace = _analyze_oriented(f, orbit, sigma, mirrored=False)
     if trace is None:
-        reflected = _reflect_map(f)
-        trace = _analyze_oriented(
-            reflected, _reflect_orbit(f, orbit), mirrored=True
-        )
+        # x -> lo + hi - x reverses the ranks: sigma'(i) = m + 1 - sigma(m + 1 - i)
+        total, m = f.domain.lo + f.domain.hi, len(sigma)
+        reflected = Orbit._of(total - p for p in reversed(orbit.points))
+        mirror = tuple(m + 1 - r for r in reversed(sigma))
+        trace = _analyze_oriented(_reflect_map(f), reflected, mirror, mirrored=True)
         if trace is None:
             raise CertificationFailed("reflection must expose a left straddle")
     return trace
@@ -512,22 +507,12 @@ def witness_from_trace(
     if trace.map != (_reflect_map(f) if trace.mirrored else f):
         raise PreconditionViolated("the trace was not analysed on this map")
     if trace.case.yields_period_three:
-        seed = periodic_point_from_cycle(
-            trace.map,
-            forcing_cycle(trace, 3),
-            require_least_period=True,
-            piece_budget=piece_budget,
-        )
+        seed = _point_on_cycle(trace.map, forcing_cycle(trace, 3), True, piece_budget)
         y = odd_period_witness(
             trace.map, orbit_of(trace.map, seed), n, piece_budget
         )
     else:
-        y = periodic_point_from_cycle(
-            trace.map,
-            forcing_cycle(trace, n),
-            require_least_period=True,
-            piece_budget=piece_budget,
-        )
+        y = _point_on_cycle(trace.map, forcing_cycle(trace, n), True, piece_budget)
     if trace.mirrored:
         dom = f.domain
         y = dom.lo + dom.hi - y

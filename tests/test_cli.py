@@ -1,6 +1,9 @@
 """Command-line surface: output formats, determinism, exit codes."""
 
 import json
+import sys
+
+import pytest
 
 from sharkovsky_lab import cli, witnesses
 from sharkovsky_lab.cli import run
@@ -104,6 +107,15 @@ class TestWitness:
         )
         # orbit_of lists distinct points until the first return
         assert len(payload["orbit"]) == 1200
+
+    def test_text_output_past_ten_thousand_steps(self, capsys):
+        # the orbit field is built for --json only, within the certified period
+        code, out, err = invoke(
+            capsys, "witness", "odd", "--pattern", "1>2>3", "--period", "10001"
+        )
+        assert code == 0, err[:200]
+        assert out.startswith("least period 10001 point: ")
+        assert out.count("\n") == 1
 
     def test_odd_analyses_the_orbit_once(self, capsys, monkeypatch):
         calls = []
@@ -260,3 +272,25 @@ class TestContract:
             capsys, "spectrum", "--pattern", "[2.5,3,1]", "--upto", "3"
         )
         assert code == 2 and not out and "not an integer" in err
+
+
+class TestConsoleScript:
+    """``main`` is the target of the ``sharkovsky`` console script."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["compare", "3", "5"], 0),
+            (["compare", "3"], 2),
+            (["--piece-budget", "8", "spectrum", "--pattern", "1>2>3", "--upto", "6",
+              "--method", "direct"], 3),
+        ],
+        ids=["ok", "usage", "budget"],
+    )
+    def test_main_exits_with_the_code_of_run(self, argv, code, capsys, monkeypatch):
+        assert run(argv) == code
+        monkeypatch.setattr(sys, "argv", ["sharkovsky", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == code
+        capsys.readouterr()

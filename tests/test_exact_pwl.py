@@ -1001,6 +1001,35 @@ class TestOrbits:
         square = TENT.iterate(2)
         assert not is_orbit_of(square, Orbit((F(2, 7), F(4, 7))))
 
+    def test_orbit_permutation_is_the_one_line_rank_map(self):
+        sigma = exact_pwl.orbit_permutation
+        assert sigma(TENT, Orbit((F(2, 7), F(4, 7), F(6, 7)))) == (2, 3, 1)
+        assert sigma(TENT, Orbit((F(2, 5), F(4, 5)))) == (2, 1)
+        assert sigma(TENT, Orbit((0,))) == (1,)
+        for m in (3, 5, 8):
+            pattern = random_pattern(m, random.Random(m))
+            f = connect_the_dots(pattern)
+            assert sigma(f, orbit_of(f, 0)) == pattern.mapping
+
+    @pytest.mark.parametrize(
+        "f, points",
+        [
+            (TENT, (F(2, 5), F(3, 5))),  # f(2/5) = 4/5 is not a point
+            (TENT, (0, F(2, 3))),  # two fixed points: two cycles
+            (TENT, (0, F(2, 5), F(4, 5))),  # a fixed point and a 2-cycle
+            (TENT, (0, 1)),  # both points map to 0
+            (TENT.iterate(2), (F(2, 7), F(4, 7))),  # part of a 3-cycle
+            (TENT, (F(1, 2), 2)),  # 2 is out of the domain
+        ],
+        ids=[
+            "outside", "two-fixed", "fixed-and-swap", "not-one-to-one", "subset",
+            "out-of-domain",
+        ],
+    )
+    def test_orbit_permutation_refuses_what_is_not_one_cycle(self, f, points):
+        assert exact_pwl.orbit_permutation(f, Orbit(points)) is None
+        assert not is_orbit_of(f, Orbit(points))
+
 
 def reference_census(f, k):
     """The k-step trajectory census: every solution of f^k(x) = x walks k steps."""

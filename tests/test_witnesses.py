@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -38,6 +39,7 @@ from sharkovsky_lab import (
     least_period,
     loop_to_intervals,
     markov_graph,
+    minimal_diameter_orbit,
     odd_period_witness,
     orbit_of,
     period_two_from_crossing,
@@ -48,6 +50,8 @@ from sharkovsky_lab import (
     random_pattern,
     realized_periods,
     stefan_pattern,
+    tent_map,
+    truncate_at_orbit,
     witness_from_trace,
     witnesses,
 )
@@ -489,6 +493,179 @@ class TestCycleSearchMatchesTheReference:
         assert cli.run(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.md5(out.encode()).hexdigest() == "3a62a424110586ddc2839c54100936c3"
+
+
+# ---------------------------------------------------------------------------
+# the Fraction orbit analysis that preceded the rank one, kept as the
+# reference the trace must agree with: it evaluates f on the orbit and
+# compares points where the rank analysis compares ranks
+# ---------------------------------------------------------------------------
+
+
+def reference_switch_rank(f, orbit):
+    """The 1-based rank s of the last orbit point with x < f(x)."""
+    ranks = [i for i, p in enumerate(orbit.points, start=1) if f(p) > p]
+    return max(ranks)
+
+
+def reference_analyze_oriented(f, orbit, mirrored):
+    pts = orbit.points
+    m = len(pts)
+    s = reference_switch_rank(f, orbit)
+    x_s, x_s1 = pts[s - 1], pts[s]
+    z = fixed_structure_on(f, Interval(x_s, x_s1)).points[0]
+
+    def on_left(p):
+        v = f(p)
+        if v <= x_s:
+            return True
+        if v < x_s1:
+            raise CertificationFailed("orbit values cannot enter the switch gap")
+        return False
+
+    straddles = [t for t in range(1, s) if on_left(pts[t - 1]) != on_left(pts[t])]
+    if not straddles:
+        return None
+    t = max(straddles)
+    x_t = pts[t - 1]
+
+    its = [x_s]
+    for _ in range(m):
+        its.append(f(its[-1]))
+    q = next(i for i in range(1, m + 1) if its[i] <= x_t)
+    if not 2 <= q <= m - 1:
+        raise CertificationFailed(f"escape time {q} out of range for period {m}")
+
+    kwargs = dict(
+        map=f, orbit=orbit, switch=s, straddle=t, escape_time=q, fixed_point=z,
+        mirrored=mirrored,
+    )
+    if m == 3:
+        return witnesses.OddOrbitTrace(case=TraceCase.PERIOD_THREE, **kwargs)
+
+    pre_escape = its[q - 1]
+    if pre_escape < x_s:
+        if pre_escape < pts[t]:
+            raise CertificationFailed(f"pre-escape point {pre_escape} left of x_(t+1)")
+        return witnesses.OddOrbitTrace(case=TraceCase.PRE_ESCAPE_LEFT, **kwargs)
+    if pre_escape == x_s1:
+        return witnesses.OddOrbitTrace(case=TraceCase.PRE_ESCAPE_AT_UPPER, **kwargs)
+
+    rebound = next(i for i in range(1, q) if its[i] >= pre_escape)
+    pre_rebound = its[rebound - 1]
+    if not pts[t] <= pre_rebound < pre_escape:
+        raise CertificationFailed(f"pre-rebound point {pre_rebound} out of range")
+    if pre_rebound >= x_s1:
+        return witnesses.OddOrbitTrace(
+            case=TraceCase.REBOUND_ABOVE, rebound_time=rebound, **kwargs
+        )
+
+    if pre_rebound > x_s:
+        raise CertificationFailed(f"pre-rebound point {pre_rebound} inside the switch gap")
+    solve = witnesses._leftmost_solution
+    fixed_preimage = solve(f, z, Interval(x_t, pts[t]))
+    upper_relay = solve(f, fixed_preimage, Interval(z, pre_escape))
+    lower_relay = solve(f, upper_relay, Interval(pre_rebound, z))
+    return witnesses.OddOrbitTrace(
+        case=TraceCase.REBOUND_BELOW,
+        rebound_time=rebound,
+        fixed_preimage=fixed_preimage,
+        upper_relay=upper_relay,
+        lower_relay=lower_relay,
+        **kwargs,
+    )
+
+
+def reference_analyze_odd_orbit(f, orbit):
+    """The caller's orientation first, then the evaluated reflection."""
+    trace = reference_analyze_oriented(f, orbit, mirrored=False)
+    if trace is None:
+        total = f.domain.lo + f.domain.hi
+        reflected = Orbit(tuple(total - p for p in orbit.points))
+        trace = reference_analyze_oriented(
+            witnesses._reflect_map(f), reflected, mirrored=True
+        )
+    return trace
+
+
+def trace_fields(trace):
+    return {field.name: getattr(trace, field.name) for field in fields(trace)}
+
+
+TENT = tent_map()
+TENT_FIVE_TRUNCATION = truncate_at_orbit(TENT, minimal_diameter_orbit(TENT, 5)).map
+#: odd orbits of the tent map, and of its truncation at the tightest
+#: period-5 orbit, where period 3 is gone
+ODD_ORBITS = [
+    (f, orbit)
+    for f, periods in ((TENT, (3, 5, 7)), (TENT_FIVE_TRUNCATION, (5, 7, 9, 11)))
+    for k in periods
+    for orbit in periodic_orbits(f, k).orbits
+]
+
+
+@st.composite
+def odd_orbits(draw):
+    """An odd orbit: of a random pattern of size 3-13 in either orientation,
+    or of the tent map or a tent truncation."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(ODD_ORBITS))
+    m = draw(st.sampled_from([3, 5, 7, 9, 11, 13]))
+    pattern = random_pattern(m, draw(st.randoms(use_true_random=False)))
+    if draw(st.booleans()):
+        pattern = pattern.mirror()
+    f = connect_the_dots(pattern)
+    return f, orbit_of(f, 0)
+
+
+class TestRankAnalysisMatchesTheReference:
+    @settings(max_examples=300, deadline=None)
+    @given(odd_orbits())
+    def test_traces_and_period_two_witnesses(self, case):
+        f, orbit = case
+        trace = analyze_odd_orbit(f, orbit)
+        assert trace_fields(trace) == trace_fields(reference_analyze_odd_orbit(f, orbit))
+        s = reference_switch_rank(f, orbit)
+        expected = period_two_from_crossing(f, orbit.points[s - 1], orbit.points[s])
+        assert period_two_from_orbit(f, orbit) == expected
+
+    def test_the_samples_meet_both_orientations_and_the_cases_seen(self):
+        rng = random.Random(5)
+        cases = [(f, orbit_of(f, 0)) for f in (
+            connect_the_dots(random_pattern(rng.choice([5, 7, 9]), rng))
+            for _ in range(100)
+        )]
+        seen = set()
+        for f, orbit in cases + ODD_ORBITS:
+            trace = analyze_odd_orbit(f, orbit)
+            assert trace == reference_analyze_odd_orbit(f, orbit)
+            seen.add((trace.case, trace.mirrored))
+        assert {case for case, _ in seen} >= {
+            TraceCase.PERIOD_THREE, TraceCase.PRE_ESCAPE_AT_UPPER, TraceCase.REBOUND_BELOW
+        }
+        assert {mirrored for _, mirrored in seen} == {False, True}
+
+    def test_the_map_is_evaluated_once_per_orbit_point(self, monkeypatch):
+        calls = []
+        original = PwlMap.__call__
+
+        def counted(self, x):
+            calls.append(x)
+            return original(self, x)
+
+        monkeypatch.setattr(PwlMap, "__call__", counted)
+        rng = random.Random(3)
+        orientations = set()
+        for m in (3, 5, 7, 9, 11):
+            for pattern in (stefan_pattern(m), random_pattern(m, rng)):
+                for oriented in (pattern, pattern.mirror()):
+                    f = connect_the_dots(oriented)
+                    orbit = orbit_of(f, 0)
+                    calls.clear()
+                    trace = analyze_odd_orbit(f, orbit)
+                    assert len(calls) == m, (oriented, trace.case)
+                    orientations.add(trace.mirrored)
+        assert orientations == {False, True}
 
 
 class TestAnalyzeOddOrbit:
