@@ -517,9 +517,9 @@ def _intervals(spans: Iterable[tuple[Q, Q]]) -> list[Interval]:
     return [Interval(_fraction(a), _fraction(b)) for a, b in spans]
 
 
-def _fixed_points(pairs: Pairs) -> "FixedPoints":
-    """The solutions of f(x) = x on pairs, as Fractions."""
-    points, laps = _fixed_structure(pairs)
+def _fixed_points(structure: tuple[list[Q], list[tuple[Q, Q]]]) -> "FixedPoints":
+    """A _fixed_structure result, points and identity laps, as Fractions."""
+    points, laps = structure
     return FixedPoints(tuple(map(_fraction, points)), tuple(_intervals(laps)))
 
 
@@ -547,8 +547,7 @@ def fixed_structure_on(
     scales with the window's share of the breakpoints.  A degenerate
     window yields its point when f^n fixes it.
     """
-    points, laps = _solve_on(f._pairs, *window._span, n, piece_budget)
-    return FixedPoints(tuple(map(_fraction, points)), tuple(_intervals(laps)))
+    return _fixed_points(_solve_on(f._pairs, *window._span, n, piece_budget))
 
 
 def level_set_on(f: "PwlMap", c: Fraction, window: Interval) -> list[Interval]:
@@ -743,7 +742,7 @@ def fixed_points_of_iterate(
     """All exact solutions of f^k(x) = x, ascending and deduplicated."""
     if k < 1:
         raise ValueError("iterate order must be >= 1")
-    return _fixed_points(f.iterate(k, piece_budget)._pairs)
+    return _fixed_points(_fixed_structure(f.iterate(k, piece_budget)._pairs))
 
 
 def _orbit_walk(f: Pairs, y: Q, k: int) -> list[Q]:
@@ -769,19 +768,23 @@ def least_period(f: PwlMap, y: RationalLike, k: int) -> int:
 
 
 def orbit_of(f: PwlMap, y: RationalLike, max_steps: int = 10_000) -> Orbit:
-    """Follow y under f until it returns; error if it is not periodic."""
+    """Follow y under f until it returns; error if it is not periodic.
+
+    The points are matched and sorted as kernel pairs, so no two
+    Fractions are compared.
+    """
     y = as_fraction(y)
-    seen = [y]
-    visited = {y}
-    current = y
+    start = _q(y)
+    seen, visited, current = [y], {start}, y
     for _ in range(max_steps):
         current = f(current)
-        if current == y:
-            return Orbit(tuple(seen))
-        if current in visited:
+        q = _q(current)
+        if q == start:
+            return Orbit._of(sorted(seen, key=lambda p: _ASCENDING(_q(p))))
+        if q in visited:
             raise NotAnOrbit(f"{y} is pre-periodic, not periodic")
         seen.append(current)
-        visited.add(current)
+        visited.add(q)
     raise NotAnOrbit(f"{y} did not return within {max_steps} steps")
 
 

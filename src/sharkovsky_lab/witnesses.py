@@ -240,18 +240,12 @@ def _point_on_cycle(
 
 class TraceCase(enum.Enum):
     PERIOD_THREE = "PeriodThree"
-    PRE_ESCAPE_LEFT = "PreEscapeLeft"
     PRE_ESCAPE_AT_UPPER = "PreEscapeAtUpper"
-    REBOUND_ABOVE = "ReboundAbove"
     REBOUND_BELOW = "ReboundBelow"
 
     @property
     def yields_period_three(self) -> bool:
-        return self in (
-            TraceCase.PRE_ESCAPE_LEFT,
-            TraceCase.PRE_ESCAPE_AT_UPPER,
-            TraceCase.REBOUND_ABOVE,
-        )
+        return self is TraceCase.PRE_ESCAPE_AT_UPPER
 
 
 @dataclass(frozen=True)
@@ -262,9 +256,12 @@ class OddOrbitTrace:
     switch interval [x_s, x_{s+1}] holds the fixed point.  ``straddle`` is
     the rank t of the interval left of the switch whose endpoint images
     straddle the fixed point.  ``escape_time`` is the first iterate of x_s
-    landing at or below x_t; ``rebound_time`` the first iterate climbing
-    back to the pre-escape point.  In the REBOUND_BELOW case the relay
-    points satisfy f(fixed_preimage) = fixed_point,
+    landing at or below x_t; the iterate before it, the pre-escape point,
+    lies right of the switch interval.  ``case`` is PERIOD_THREE for a
+    3-cycle, PRE_ESCAPE_AT_UPPER when the pre-escape point is x_{s+1}, and
+    REBOUND_BELOW otherwise.  Only REBOUND_BELOW sets the rest:
+    ``rebound_time`` is the first iterate climbing back to the pre-escape
+    point, and the relay points satisfy f(fixed_preimage) = fixed_point,
     f(upper_relay) = fixed_preimage and f(lower_relay) = upper_relay.
 
     When ``mirrored`` is true, ``map`` and ``orbit`` are the reflections
@@ -288,15 +285,6 @@ class OddOrbitTrace:
     @property
     def period(self) -> int:
         return self.orbit.period
-
-    def point(self, rank: int) -> Fraction:
-        return self.orbit.points[rank - 1]
-
-    def switch_iterate(self, i: int) -> Fraction:
-        cur = self.point(self.switch)
-        for _ in range(i):
-            cur = self.map(cur)
-        return cur
 
 
 def _reflect_map(f: PwlMap) -> PwlMap:
@@ -343,23 +331,17 @@ def _analyze_oriented(
         return OddOrbitTrace(case=TraceCase.PERIOD_THREE, **kwargs)
 
     pre_escape = its[q - 1]
-    if pre_escape < s:
-        if pre_escape <= t:
-            raise CertificationFailed(
-                f"pre-escape point {x[pre_escape]} left of x_(t+1)"
-            )
-        return OddOrbitTrace(case=TraceCase.PRE_ESCAPE_LEFT, **kwargs)
+    # every rank in (t, s] maps above s (t is the last straddle and
+    # sigma(s) > s), so the pre-escape rank, which maps to t or below, is > s
     if pre_escape == s + 1:
         return OddOrbitTrace(case=TraceCase.PRE_ESCAPE_AT_UPPER, **kwargs)
 
     rebound = next(i for i in range(1, q) if its[i] >= pre_escape)
     pre_rebound = its[rebound - 1]
-    if not t < pre_rebound < pre_escape:
+    # a rank above s maps to a smaller rank, so a pre-rebound rank above s
+    # would itself have reached the pre-escape rank
+    if not t < pre_rebound <= s:
         raise CertificationFailed(f"pre-rebound point {x[pre_rebound]} out of range")
-    if pre_rebound > s:
-        return OddOrbitTrace(
-            case=TraceCase.REBOUND_ABOVE, rebound_time=rebound, **kwargs
-        )
 
     fixed_preimage = _leftmost_solution(f, z, Interval(x[t], x[t + 1]))
     upper_relay = _leftmost_solution(f, fixed_preimage, Interval(z, x[pre_escape]))
@@ -401,9 +383,9 @@ def analyze_odd_orbit(f: PwlMap, orbit: Orbit) -> OddOrbitTrace:
 def forcing_cycle(trace: OddOrbitTrace, n: int) -> IntervalLoop:
     """The interval cycle whose witness realizes period n for this trace.
 
-    PERIOD_THREE traces accept every n >= 1.  The three period-3 cases
-    accept only n = 3 (all other periods then flow through the period-3
-    machinery).  REBOUND_BELOW accepts every even n >= 2 and every
+    PERIOD_THREE traces accept every n >= 1.  PRE_ESCAPE_AT_UPPER accepts
+    only n = 3 (all other periods then flow through the period-3 orbit it
+    yields).  REBOUND_BELOW accepts every even n >= 2 and every
     n >= period + 1.
     """
     if n < 1:
@@ -421,25 +403,10 @@ def forcing_cycle(trace: OddOrbitTrace, n: int) -> IntervalLoop:
             if n == 1
             else [straddle_iv] + [switch_iv] * (n - 1)
         )
-    elif case is TraceCase.PRE_ESCAPE_LEFT:
-        if n != 3:
-            raise UnsupportedPeriodForCase(f"this trace only builds n = 3, not {n}")
-        pre_escape = trace.switch_iterate(trace.escape_time - 1)
-        a = Interval(pts[t - 1], pre_escape)
-        b = Interval(pre_escape, z)
-        loop = [a, b, b]
     elif case is TraceCase.PRE_ESCAPE_AT_UPPER:
         if n != 3:
             raise UnsupportedPeriodForCase(f"this trace only builds n = 3, not {n}")
         loop = [Interval(z, pts[s]), straddle_iv, switch_iv]
-    elif case is TraceCase.REBOUND_ABOVE:
-        if n != 3:
-            raise UnsupportedPeriodForCase(f"this trace only builds n = 3, not {n}")
-        pre_escape = trace.switch_iterate(trace.escape_time - 1)
-        pre_rebound = trace.switch_iterate(trace.rebound_time - 1)
-        a = Interval(pre_rebound, pre_escape)
-        b = Interval(z, pre_rebound)
-        loop = [a, b, b]
     else:  # REBOUND_BELOW
         m = trace.period
         u = trace.fixed_preimage
@@ -454,9 +421,10 @@ def forcing_cycle(trace: OddOrbitTrace, n: int) -> IntervalLoop:
             loop = [uv] + [zw, vz] * ((n - 2) // 2) + [zw]
         elif n >= m + 1:
             q, k = trace.escape_time, trace.rebound_time
-            rungs = [
-                Interval.between(z, trace.switch_iterate(i)) for i in range(q)
-            ]
+            walk = [pts[s - 1]]  # x_s, f(x_s), ..., up to the pre-escape point
+            for _ in range(q - 1):
+                walk.append(trace.map(walk[-1]))
+            rungs = [Interval.between(z, p) for p in walk]
             loop = (
                 rungs[:k]
                 + [rungs[q - 1], straddle_iv]
