@@ -293,7 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True)
     p.add_argument("--upto", type=_positive_int, required=True)
     p.add_argument(
-        "--method", choices=["auto", "direct", "walks", "both"], default="auto"
+        "--method",
+        choices=["auto", "matrix", "direct", "walks", "both"],
+        default="auto",
+        help="auto runs matrix, which no budget bounds; direct and walks "
+        "run within the budgets; both runs all three and checks they agree",
     )
     p.set_defaults(func=_cmd_spectrum)
     return parser

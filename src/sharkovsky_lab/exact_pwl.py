@@ -196,6 +196,10 @@ class IntervalLoop:
 Q = tuple[int, int]
 Breakpoint = tuple[int, int, int, int]
 Pairs = tuple[Breakpoint, ...]
+#: Solutions of f(x) = x: ascending points and identity laps (_fixed_structure).
+Structure = tuple[list[Q], list[tuple[Q, Q]]]
+#: Solutions of f^d(x) = x on the whole domain, by d.
+Solved = dict[int, list[Q]]
 
 
 def _q(value: Fraction) -> Q:
@@ -415,7 +419,7 @@ def _coalesce(spans: Iterable[tuple[Q, Q]]) -> list[tuple[Q, Q]]:
     return merged
 
 
-def _fixed_structure(pairs: Pairs) -> tuple[list[Q], list[tuple[Q, Q]]]:
+def _fixed_structure(pairs: Pairs) -> Structure:
     """Solutions of f(x) = x on canonical pairs: ascending points, identity laps.
 
     Endpoints of identity laps are included among the points.  The roots
@@ -517,15 +521,13 @@ def _intervals(spans: Iterable[tuple[Q, Q]]) -> list[Interval]:
     return [Interval(_fraction(a), _fraction(b)) for a, b in spans]
 
 
-def _fixed_points(structure: tuple[list[Q], list[tuple[Q, Q]]]) -> "FixedPoints":
+def _fixed_points(structure: Structure) -> "FixedPoints":
     """A _fixed_structure result, points and identity laps, as Fractions."""
     points, laps = structure
     return FixedPoints(tuple(map(_fraction, points)), tuple(_intervals(laps)))
 
 
-def _solve_on(
-    f: Pairs, lo: Q, hi: Q, n: int, piece_budget: int
-) -> tuple[list[Q], list[tuple[Q, Q]]]:
+def _solve_on(f: Pairs, lo: Q, hi: Q, n: int, piece_budget: int) -> Structure:
     """_fixed_structure of f^n on [lo, hi]; a degenerate window is one walk."""
     if lo == hi:
         cur = lo
@@ -808,12 +810,22 @@ def point_of_least_period_in_lap(
     return None if rep is None else _fraction(rep)
 
 
-def _lap_point(f: Pairs, k: int, lo: Q, hi: Q, piece_budget: int) -> Optional[Q]:
-    """point_of_least_period_in_lap on the lap [lo, hi]."""
+def _lap_point(
+    f: Pairs, k: int, lo: Q, hi: Q, piece_budget: int, solved: Optional[Solved] = None
+) -> Optional[Q]:
+    """point_of_least_period_in_lap on the lap [lo, hi].
+
+    ``solved`` maps each proper divisor d of k to the solutions of
+    f^d(x) = x on the whole domain.  When it is given, those in the lap
+    are the cuts, the same as the iterates composed on the lap would give.
+    """
     if k == 1:
         return lo
     cuts = {lo, hi}
-    if lo != hi:
+    if solved is not None:
+        divisor_points = (y for d in divisors(k)[:-1] for y in solved[d])
+        cuts.update(y for y in divisor_points if _le(lo, y) and _le(y, hi))
+    elif lo != hi:
         chain = _iterates(f, _restrict(f, lo, hi), divisors(k)[-2], piece_budget)
         for d, g in enumerate(chain, start=1):
             if k % d == 0:
@@ -830,7 +842,7 @@ def _lap_point(f: Pairs, k: int, lo: Q, hi: Q, piece_budget: int) -> Optional[Q]
 
 
 def _census(
-    f: PwlMap, k: int, fixed: tuple[list[Q], list[tuple[Q, Q]]], piece_budget: int
+    f: PwlMap, k: int, fixed: Structure, piece_budget: int, solved: Optional[Solved]
 ) -> PeriodicOrbits:
     """Sort the solutions of f^k(x) = x into the orbits of least period k.
 
@@ -839,7 +851,7 @@ def _census(
     met, which is its minimum; the points it visits are skipped afterwards.
     The set of points not yet placed holds the scanned list's own values,
     so the walks add no copies.  Only the orbits found leave the kernel as
-    Fractions.
+    Fractions.  ``solved`` is passed on to the identity laps' _lap_point.
     """
     points, laps = fixed
     unplaced = set(points)
@@ -851,12 +863,12 @@ def _census(
         unplaced.difference_update(traj)
         if len(traj) == k:
             orbits.append(Orbit._of(map(_fraction, sorted(traj, key=_ASCENDING))))
-    continuum = tuple(
-        lap
-        for lap in _intervals(laps)
-        if point_of_least_period_in_lap(f, k, lap, piece_budget) is not None
+    continuum = _intervals(
+        (lo, hi)
+        for lo, hi in laps
+        if _lap_point(f._pairs, k, lo, hi, piece_budget, solved) is not None
     )
-    return PeriodicOrbits(tuple(orbits), continuum)
+    return PeriodicOrbits(tuple(orbits), tuple(continuum))
 
 
 def periodic_orbits(
@@ -872,7 +884,7 @@ def periodic_orbits(
     if k < 1:
         raise ValueError("iterate order must be >= 1")
     fixed = _fixed_structure(f.iterate(k, piece_budget)._pairs)
-    return _census(f, k, fixed, piece_budget)
+    return _census(f, k, fixed, piece_budget, None)
 
 
 def periodic_orbits_upto(
@@ -881,16 +893,24 @@ def periodic_orbits_upto(
     """periodic_orbits(f, k) for k = 1, ..., upto, in order.
 
     Each iterate is composed once, from the one before, so a spectrum up
-    to J performs J - 1 compositions.  A composition over the piece budget
-    raises from the advance that needs it and ends the generator.
+    to J performs J - 1 compositions.  The solutions of f^d(x) = x are
+    kept while d still divides a later k (2d <= upto), and the identity
+    laps of f^k are cut at them instead of composing a chain of their
+    own.  A composition over the piece budget raises from the advance
+    that needs it and ends the generator.
     """
     if upto < 1:
         raise ValueError("period bound must be >= 1")
-    iterates = _iterates(f._pairs, f._pairs, upto, piece_budget)
-    return (
-        _census(f, k, _fixed_structure(g), piece_budget)
-        for k, g in enumerate(iterates, start=1)
-    )
+    return _censuses(f, upto, piece_budget)
+
+
+def _censuses(f: PwlMap, upto: int, piece_budget: int) -> Iterator[PeriodicOrbits]:
+    solved: Solved = {}
+    for k, g in enumerate(_iterates(f._pairs, f._pairs, upto, piece_budget), start=1):
+        fixed = _fixed_structure(g)
+        yield _census(f, k, fixed, piece_budget, solved)
+        if 2 * k <= upto:
+            solved[k] = fixed[0]
 
 
 def orbit_permutation(f: PwlMap, orbit: Orbit) -> Optional[tuple[int, ...]]:

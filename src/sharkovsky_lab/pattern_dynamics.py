@@ -23,7 +23,6 @@ from .errors import (
     NoLeastPeriodWitness,
     NotAWalk,
     NotOddPeriod,
-    PieceBudgetExceeded,
     WalkBudgetExceeded,
 )
 from .exact_pwl import (
@@ -34,6 +33,7 @@ from .exact_pwl import (
     connect_the_dots_points,
     periodic_orbits_upto,
 )
+from .sharkovsky_order import divisors
 
 DEFAULT_WALK_BUDGET = 1_000_000
 
@@ -247,27 +247,47 @@ def loop_to_intervals(pattern: CyclicPattern, walk: tuple[int, ...]) -> Interval
     return IntervalLoop(tuple(nodes[node - 1] for node in walk))
 
 
+def _primitive_walk_counts(graph: MarkovGraph, upto: int) -> list[int]:
+    """[0, p(1), ..., p(upto)]: p(k) closed walks of length k repeat no shorter walk.
+
+    Walks count once per starting node.  tr(A^k) counts every closed walk
+    of length k, and one repeating a primitive walk of length d < k is
+    counted in p(d).  A is 0/1, so row i of A^k is the sum of the rows of
+    A^(k-1) at i's successors: the powers take additions only.
+    """
+    succ = graph._successors
+    nodes = range(1, graph.node_count + 1)
+    power = [[int(i == j) for j in nodes] for i in nodes]
+    prim = [0]
+    for k in range(1, upto + 1):
+        power = [[sum(c) for c in zip(*(power[j - 1] for j in succ[i]))] for i in nodes]
+        trace = sum(row[i] for i, row in enumerate(power))
+        prim.append(trace - sum(prim[d] for d in divisors(k)[:-1]))
+    return prim
+
+
 def _realized_by_walks(
-    pattern: CyclicPattern,
-    f: PwlMap,
-    graph: MarkovGraph,
-    nodes: tuple[Interval, ...],
-    k: int,
-    piece_budget: int,
-    walk_budget: int,
-) -> bool:
-    if k == pattern.size:
-        return True  # the pattern's own orbit
-    for walk in _budgeted_walks(graph, k, walk_budget):
-        loop = IntervalLoop(tuple(nodes[node - 1] for node in walk))
-        try:
-            witnesses.periodic_point_from_cycle(
-                f, loop, require_least_period=True, piece_budget=piece_budget
-            )
-            return True
-        except NoLeastPeriodWitness:
+    pattern: CyclicPattern, upto: int, piece_budget: int, walk_budget: int
+) -> set[int]:
+    f = connect_the_dots(pattern)
+    graph = markov_graph(pattern)
+    nodes = _node_intervals(pattern)
+    realized = set()
+    for k in range(1, upto + 1):
+        if k == pattern.size:  # the pattern's own orbit
+            realized.add(k)
             continue
-    return False
+        for walk in _budgeted_walks(graph, k, walk_budget):
+            loop = IntervalLoop(tuple(nodes[node - 1] for node in walk))
+            try:
+                witnesses.periodic_point_from_cycle(
+                    f, loop, require_least_period=True, piece_budget=piece_budget
+                )
+            except NoLeastPeriodWitness:
+                continue
+            realized.add(k)
+            break
+    return realized
 
 
 def realized_periods(
@@ -279,48 +299,54 @@ def realized_periods(
 ) -> set[int]:
     """Least periods k <= upto realized by the pattern's canonical realization.
 
-    Two independent routes are available: "direct" enumerates the periodic
-    points of the k-th iterate; "walks" searches closed walks of the
-    covering graph and certifies a least-period witness along each.
-    "auto" uses the direct route and, from the first period whose iterate
-    exceeds the piece budget on, falls back to walks (every later iterate
-    would be built through the same composition); "both" runs the two
-    and insists they agree.  The direct route composes each iterate once.
+    Three independent routes are available: "direct" enumerates the
+    periodic points of each iterate, composing each once; "walks" searches
+    closed walks of the covering graph and certifies a least-period
+    witness along each; "matrix" (what "auto" runs) counts primitive
+    closed walks from the traces of the graph's adjacency matrix A.  The
+    budgets bound the first two; "matrix" composes no map and enumerates
+    no walk.  "both" runs all three and raises CertificationFailed, naming
+    the period and each route's answer, unless they agree.
+
+    "matrix" realizes k when a primitive closed walk of length k exists or
+    k is the pattern's size m (the swap (2, 1) has no primitive walk of
+    length 2).  This is exact.  Each node is a lap of integer slope onto
+    whole nodes, so on the chain start of a primitive walk f^k is affine
+    onto the walk's first node, with slope P the product of the slopes.
+    If P != 1, f^k has one fixed point there.  Its itinerary is the walk,
+    so it has least period k, unless it is a point of the pattern, whose
+    itinerary repeats after m steps (the end points have one side only),
+    and then k = m.  If P == 1, every slope is +-1, the walk's nodes are distinct
+    and f^k is the identity on the first node, whose interior points have
+    least period k: the identity lap the direct census flags as continuum.
+    Conversely, a point of least period k off the pattern follows one
+    itinerary, of least period d | k, and d < k only if f^d reverses the
+    first node onto itself.  Then the d distinct nodes' ends hold every
+    pattern point and f^d swaps two of them, so k = 2d = m.
     """
-    if method not in {"auto", "direct", "walks", "both"}:
+    if method not in {"auto", "matrix", "direct", "walks", "both"}:
         raise ValueError(f"unknown method {method!r}")
     if upto < 1:
         raise ValueError("period bound must be >= 1")
-    f = connect_the_dots(pattern)
-    graph = markov_graph(pattern)
-    nodes = _node_intervals(pattern)
-    censuses = (
-        None if method == "walks" else periodic_orbits_upto(f, upto, piece_budget)
-    )
-    realized = set()
-    for k in range(1, upto + 1):
-        hit = None
-        if censuses is not None:
-            try:
-                census = next(censuses)
-            except PieceBudgetExceeded:
-                if method != "auto":
-                    raise
-                censuses = None
-            else:
-                hit = bool(census.orbits) or bool(census.continuum)
-        if hit is None or method == "both":
-            walked = _realized_by_walks(
-                pattern, f, graph, nodes, k, piece_budget, walk_budget
+    periods = range(1, upto + 1)
+    answers = {}
+    if method in {"auto", "matrix", "both"}:
+        prim = _primitive_walk_counts(markov_graph(pattern), upto)
+        answers["matrix"] = {k for k in periods if prim[k] > 0 or k == pattern.size}
+    if method in {"direct", "both"}:
+        censuses = periodic_orbits_upto(connect_the_dots(pattern), upto, piece_budget)
+        answers["direct"] = {
+            k for k, c in zip(periods, censuses) if c.orbits or c.continuum
+        }
+    if method in {"walks", "both"}:
+        answers["walks"] = _realized_by_walks(pattern, upto, piece_budget, walk_budget)
+    realized, *others = answers.values()
+    for k in periods:
+        if any((k in other) != (k in realized) for other in others):
+            votes = " ".join(f"{name}={k in got}" for name, got in answers.items())
+            raise CertificationFailed(
+                f"spectrum routes disagree at period {k} for {pattern}: {votes}"
             )
-            if hit is not None and hit != walked:
-                raise CertificationFailed(
-                    f"spectrum routes disagree at period {k} for {pattern}: "
-                    f"direct={hit} walks={walked}"
-                )
-            hit = walked
-        if hit:
-            realized.add(k)
     return realized
 
 

@@ -183,6 +183,21 @@ class TestSpectrum:
         )
         assert payload["realized"] == [1, 2, 3, 4, 5, 6]
 
+    def test_named_pattern_answers_within_the_default_budgets(self, capsys):
+        # auto composes no iterate: f^14 of this pattern is far over 2^20 pieces
+        payload = invoke_json(
+            capsys, "spectrum", "--pattern", "1>3>4>2>5>7>6", "--upto", "14"
+        )
+        assert payload["realized"] == list(range(1, 15))
+        assert payload["method"] == "auto"
+
+    def test_matrix_method_is_echoed(self, capsys):
+        argv = ("spectrum", "--pattern", "[3,5,4,2,1]", "--upto", "9")
+        matrix = invoke_json(capsys, *argv, "--method", "matrix")
+        walks = invoke_json(capsys, *argv, "--method", "walks")
+        assert matrix["method"] == "matrix"
+        assert matrix["realized"] == walks["realized"] == [1, 2, 4, 5, 6, 7, 8, 9]
+
 
 class TestContract:
     def test_determinism(self, capsys):

@@ -1135,31 +1135,34 @@ class TestCensus:
             next(censuses)
         assert next(censuses, None) is None
 
-    def test_auto_falls_back_to_walks_from_the_first_overrun(self, monkeypatch):
+    def test_auto_composes_nothing_and_walks_nothing(self, monkeypatch):
         pattern = CyclicPattern.from_cycle_string("1>3>4>2>5")
-        f = connect_the_dots(pattern)
-        budget = 60
-        direct_fits = []
-        for k in range(1, 9):
-            try:
-                f.iterate(k, budget)
-                direct_fits.append(k)
-            except PieceBudgetExceeded:
-                pass
-        assert direct_fits == list(range(1, len(direct_fits) + 1))
-        assert 1 < len(direct_fits) < 8  # the overrun comes partway
+        direct = realized_periods(pattern, 8, "direct")
 
-        walked = []
-        original = pattern_dynamics._realized_by_walks
+        def refuse(*args, **kwargs):
+            raise AssertionError("auto must read the spectrum off the matrix")
 
-        def recorded(*args):
-            walked.append(args[4])
+        monkeypatch.setattr(exact_pwl, "_compose", refuse)
+        monkeypatch.setattr(pattern_dynamics, "periodic_orbits_upto", refuse)
+        monkeypatch.setattr(pattern_dynamics, "iter_closed_walks", refuse)
+        realized = realized_periods(pattern, 8, "auto", piece_budget=1, walk_budget=1)
+        assert realized == direct
+
+    def test_identity_laps_are_cut_at_the_stored_divisor_solutions(self, monkeypatch):
+        calls = []
+        original = exact_pwl._compose
+
+        def counted(*args):
+            calls.append(len(args[1]))
             return original(*args)
 
-        monkeypatch.setattr(pattern_dynamics, "_realized_by_walks", recorded)
-        realized = realized_periods(pattern, 8, "auto", piece_budget=budget)
-        assert walked == [k for k in range(1, 9) if k not in direct_fits]
-        assert realized == realized_periods(pattern, 8, "direct")
+        f = connect_the_dots(CyclicPattern((3, 4, 2, 1)))
+        monkeypatch.setattr(exact_pwl, "_compose", counted)
+        censuses = list(periodic_orbits_upto(f, 8))
+        assert [bool(c.continuum) for c in censuses] == [False] * 3 + [True] + [False] * 4
+        assert len(calls) == 7  # the chain f^2, ..., f^8 and nothing on the laps
+        monkeypatch.setattr(exact_pwl, "_compose", original)
+        assert censuses[3] == periodic_orbits(f, 4)
 
     def test_walks_never_start_the_census(self, monkeypatch):
         def refuse(*args, **kwargs):

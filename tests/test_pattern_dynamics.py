@@ -4,24 +4,31 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sharkovsky_lab import pattern_dynamics
 from sharkovsky_lab import (
+    CertificationFailed,
     CyclicPattern,
     Interval,
     InvalidPattern,
     MarkovGraph,
     NotAWalk,
     NotOddPeriod,
+    PieceBudgetExceeded,
     WalkBudgetExceeded,
     all_patterns,
     closed_walks,
     connect_the_dots,
+    divisors,
     is_orbit_of,
     is_stefan_pattern,
     iter_closed_walks,
     loop_to_intervals,
     markov_graph,
     orbit_of,
+    periodic_orbits_upto,
     random_pattern,
     realized_periods,
     stefan_pattern,
@@ -243,6 +250,8 @@ class TestRealizedPeriods:
         # still come out as the pure doubling tail
         assert realized_periods(FOUR_DOUBLING, 8, method="direct") == {1, 2, 4}
         assert realized_periods(FOUR_DOUBLING, 8, method="walks") == {1, 2, 4}
+        # on the matrix route that lap is a walk of slope product +1
+        assert realized_periods(FOUR_DOUBLING, 8, method="matrix") == {1, 2, 4}
 
     def test_stefan_seven_spectrum_excludes_three_and_five(self):
         realized = realized_periods(stefan_pattern(7), 9, method="walks")
@@ -258,6 +267,64 @@ class TestRealizedPeriods:
         for m in (5, 6):
             for _ in range(4):
                 realized_periods(random_pattern(m, rng), 8, method="both")
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_matrix_matches_direct_exhaustively(self, m):
+        for pattern in all_patterns(m):
+            matrix = realized_periods(pattern, 8, method="matrix")
+            assert matrix == realized_periods(pattern, 8, method="direct"), pattern
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [THREE_CYCLE, FOUR_DOUBLING, CyclicPattern.from_cycle_string("1>3>4>2>5>7>6")],
+        ids=str,
+    )
+    def test_primitive_walk_counts_match_the_enumeration(self, pattern):
+        graph = markov_graph(pattern)
+        prim = pattern_dynamics._primitive_walk_counts(graph, 8)
+        for k in range(1, 9):
+            walks = list(iter_closed_walks(graph, k))
+            primitive = [w for w in walks if len(_rotations(w)) == k]
+            assert prim[k] == k * len(primitive)
+            assert sum(prim[d] for d in divisors(k)) == _int_matrix_power_trace(graph, k)
+
+    def test_matrix_takes_the_swap_from_its_size(self):
+        # the swap's one node reverses onto itself: no primitive walk of length 2
+        assert pattern_dynamics._primitive_walk_counts(markov_graph(SWAP), 4) == [0, 1, 0, 0, 0]
+        assert realized_periods(SWAP, 4, method="matrix") == {1, 2}
+
+    def test_matrix_answers_far_beyond_the_budgets(self):
+        pattern = CyclicPattern.from_cycle_string("1>3>4>2>5>7>6")
+        assert realized_periods(pattern, 200, method="matrix") == set(range(1, 201))
+        assert realized_periods(stefan_pattern(7), 200) == set(range(1, 201)) - {3, 5}
+
+    def test_both_names_the_routes_that_disagree(self, monkeypatch):
+        # a matrix route that saw no walk at all: only the pattern's own period
+        monkeypatch.setattr(
+            pattern_dynamics, "_primitive_walk_counts", lambda graph, upto: [0] * (upto + 1)
+        )
+        assert realized_periods(THREE_CYCLE, 4, method="matrix") == {3}
+        with pytest.raises(CertificationFailed) as info:
+            realized_periods(THREE_CYCLE, 4, method="both")
+        message = str(info.value)
+        assert "at period 1" in message
+        assert "matrix=False direct=True walks=True" in message
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=2, max_value=8), st.randoms(use_true_random=False))
+    def test_matrix_matches_walks_and_the_direct_route_within_its_budget(self, m, rng):
+        pattern = random_pattern(m, rng)
+        matrix = realized_periods(pattern, 8, method="matrix")
+        assert matrix == realized_periods(pattern, 8, method="walks")
+        censuses = periodic_orbits_upto(connect_the_dots(pattern), 8, piece_budget=1 << 16)
+        checked = 0
+        try:
+            for k, census in enumerate(censuses, start=1):
+                assert (k in matrix) == bool(census.orbits or census.continuum), k
+                checked = k
+        except PieceBudgetExceeded:
+            pass
+        assert checked >= 4  # f^4 of an 8-point pattern has at most 7^4 laps
 
 
 class TestStefanPatterns:
