@@ -244,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--walk-budget",
         type=_positive_int,
         default=None,
-        help="cap on enumerated closed walks (env SHARKOVSKY_WALK_BUDGET)",
+        help="cap on enumerated closed walks, and on the walk-count "
+        "additions of spectrum's default route (env SHARKOVSKY_WALK_BUDGET)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -294,10 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--upto", type=_positive_int, required=True)
     p.add_argument(
         "--method",
-        choices=["auto", "matrix", "direct", "walks", "both"],
+        choices=["auto", "direct", "walks", "both"],
         default="auto",
-        help="auto runs matrix, which no budget bounds; direct and walks "
-        "run within the budgets; both runs all three and checks they agree",
+        help="auto counts primitive closed walks from adjacency-matrix "
+        "traces; direct composes iterates, walks enumerates closed walks; "
+        "both runs all three and checks they agree",
     )
     p.set_defaults(func=_cmd_spectrum)
     return parser

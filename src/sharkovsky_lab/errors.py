@@ -64,7 +64,7 @@ class NotOddPeriod(PreconditionError):
 
 
 class WalkBudgetExceeded(BudgetError):
-    """Closed-walk enumeration produced more walks than the walk budget."""
+    """Closed-walk enumeration or counting outran the walk budget."""
 
 
 # -- orbits and witnesses -----------------------------------------------------

@@ -33,7 +33,6 @@ from .exact_pwl import (
     connect_the_dots_points,
     periodic_orbits_upto,
 )
-from .sharkovsky_order import divisors
 
 DEFAULT_WALK_BUDGET = 1_000_000
 
@@ -247,22 +246,40 @@ def loop_to_intervals(pattern: CyclicPattern, walk: tuple[int, ...]) -> Interval
     return IntervalLoop(tuple(nodes[node - 1] for node in walk))
 
 
-def _primitive_walk_counts(graph: MarkovGraph, upto: int) -> list[int]:
+def _primitive_walk_counts(
+    graph: MarkovGraph, upto: int, walk_budget: int = DEFAULT_WALK_BUDGET
+) -> list[int]:
     """[0, p(1), ..., p(upto)]: p(k) closed walks of length k repeat no shorter walk.
 
     Walks count once per starting node.  tr(A^k) counts every closed walk
     of length k, and one repeating a primitive walk of length d < k is
     counted in p(d).  A is 0/1, so row i of A^k is the sum of the rows of
-    A^(k-1) at i's successors: the powers take additions only.
+    A^(k-1) at i's successors: the powers take additions only.  Each
+    length spends one unit of walk_budget per addition, entries and
+    divisor terms alike, and per 64-bit word of the largest entry, so the
+    budget bounds the counts' time and size.
     """
     succ = graph._successors
     nodes = range(1, graph.node_count + 1)
+    additions = graph.node_count * len(graph.edges)  # per power
+    spent, words = 0, 1
     power = [[int(i == j) for j in nodes] for i in nodes]
     prim = [0]
+    # sieve of proper divisors: sieve[k] lists the d < k seen so far with d | k
+    sieve: dict[int, list[int]] = {}
     for k in range(1, upto + 1):
+        shorter = sieve.pop(k, [])
+        spent += (additions + len(shorter)) * words
+        if spent > walk_budget:
+            raise WalkBudgetExceeded(
+                f"more than {walk_budget} walk-count additions by length {k}"
+            )
         power = [[sum(c) for c in zip(*(power[j - 1] for j in succ[i]))] for i in nodes]
         trace = sum(row[i] for i, row in enumerate(power))
-        prim.append(trace - sum(prim[d] for d in divisors(k)[:-1]))
+        prim.append(trace - sum(prim[d] for d in shorter))
+        for d in (*shorter, k):
+            sieve.setdefault(k + d, []).append(d)
+        words = 1 + max(map(max, power)).bit_length() // 64
     return prim
 
 
@@ -299,39 +316,40 @@ def realized_periods(
 ) -> set[int]:
     """Least periods k <= upto realized by the pattern's canonical realization.
 
-    Three independent routes are available: "direct" enumerates the
-    periodic points of each iterate, composing each once; "walks" searches
-    closed walks of the covering graph and certifies a least-period
-    witness along each; "matrix" (what "auto" runs) counts primitive
-    closed walks from the traces of the graph's adjacency matrix A.  The
-    budgets bound the first two; "matrix" composes no map and enumerates
-    no walk.  "both" runs all three and raises CertificationFailed, naming
-    the period and each route's answer, unless they agree.
+    Three independent routes answer it: "auto" counts primitive closed
+    walks from the traces of the covering graph's adjacency matrix A, the
+    "matrix" route; "direct" enumerates the periodic points of each
+    iterate, composing each once; "walks" searches closed walks of the
+    covering graph and certifies a least-period witness along each.  The
+    matrix route composes no map and enumerates no walk; walk_budget
+    bounds its additions.  "both" runs all three and raises
+    CertificationFailed, naming the period and each route's answer,
+    unless they agree.
 
-    "matrix" realizes k when a primitive closed walk of length k exists or
-    k is the pattern's size m (the swap (2, 1) has no primitive walk of
-    length 2).  This is exact.  Each node is a lap of integer slope onto
-    whole nodes, so on the chain start of a primitive walk f^k is affine
-    onto the walk's first node, with slope P the product of the slopes.
-    If P != 1, f^k has one fixed point there.  Its itinerary is the walk,
-    so it has least period k, unless it is a point of the pattern, whose
-    itinerary repeats after m steps (the end points have one side only),
-    and then k = m.  If P == 1, every slope is +-1, the walk's nodes are distinct
-    and f^k is the identity on the first node, whose interior points have
-    least period k: the identity lap the direct census flags as continuum.
-    Conversely, a point of least period k off the pattern follows one
-    itinerary, of least period d | k, and d < k only if f^d reverses the
-    first node onto itself.  Then the d distinct nodes' ends hold every
-    pattern point and f^d swaps two of them, so k = 2d = m.
+    The matrix route realizes k when a primitive closed walk of length k
+    exists or k is the pattern's size m (the swap (2, 1) has no primitive
+    walk of length 2).  This is exact.  Each node is a lap of integer slope
+    onto whole nodes, so on the chain start of a primitive walk f^k is
+    affine onto the walk's first node, with slope P the product of the
+    slopes.  If P != 1, f^k has one fixed point there.  Its itinerary is the
+    walk, so it has least period k, unless it is a point of the pattern,
+    whose itinerary repeats after m steps (the end points have one side
+    only), and then k = m.  If P == 1, every slope is +-1, the walk's nodes
+    are distinct and f^k is the identity on the first node, whose interior
+    points have least period k: the identity lap the direct census flags as
+    continuum.  Conversely, a point of least period k off the pattern
+    follows one itinerary, of least period d | k, and d < k only if f^d
+    reverses the first node onto itself.  Then the d distinct nodes' ends
+    hold every pattern point and f^d swaps two of them, so k = 2d = m.
     """
-    if method not in {"auto", "matrix", "direct", "walks", "both"}:
+    if method not in {"auto", "direct", "walks", "both"}:
         raise ValueError(f"unknown method {method!r}")
     if upto < 1:
         raise ValueError("period bound must be >= 1")
     periods = range(1, upto + 1)
     answers = {}
-    if method in {"auto", "matrix", "both"}:
-        prim = _primitive_walk_counts(markov_graph(pattern), upto)
+    if method in {"auto", "both"}:
+        prim = _primitive_walk_counts(markov_graph(pattern), upto, walk_budget)
         answers["matrix"] = {k for k in periods if prim[k] > 0 or k == pattern.size}
     if method in {"direct", "both"}:
         censuses = periodic_orbits_upto(connect_the_dots(pattern), upto, piece_budget)

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from sharkovsky_lab import cli, witnesses
+from sharkovsky_lab import pattern_dynamics as patterns
 from sharkovsky_lab.cli import run
 from sharkovsky_lab.serialize import SCHEMA, orbit_from_list, pwlmap_from_obj
 from sharkovsky_lab.tent_constructions import tent_map
@@ -191,12 +192,22 @@ class TestSpectrum:
         assert payload["realized"] == list(range(1, 15))
         assert payload["method"] == "auto"
 
-    def test_matrix_method_is_echoed(self, capsys):
+    def test_auto_matches_walks(self, capsys):
         argv = ("spectrum", "--pattern", "[3,5,4,2,1]", "--upto", "9")
-        matrix = invoke_json(capsys, *argv, "--method", "matrix")
+        auto = invoke_json(capsys, *argv)
         walks = invoke_json(capsys, *argv, "--method", "walks")
-        assert matrix["method"] == "matrix"
-        assert matrix["realized"] == walks["realized"] == [1, 2, 4, 5, 6, 7, 8, 9]
+        assert auto["realized"] == walks["realized"] == [1, 2, 4, 5, 6, 7, 8, 9]
+
+    def test_auto_overruns_exit_three_within_the_walk_budget(self, capsys):
+        stefan = patterns.stefan_pattern(301).cycle_string()
+        for argv in (
+            ("spectrum", "--pattern", "1>3>4>2>5>7>6", "--upto", "100000"),
+            ("spectrum", "--pattern", stefan, "--upto", "14"),
+            ("--walk-budget", "5", "spectrum", "--pattern", "1>3>2", "--upto", "2"),
+        ):
+            code, out, err = invoke(capsys, *argv)
+            assert code == 3 and not out
+            assert "walk-count additions" in err
 
 
 class TestContract:

@@ -251,7 +251,7 @@ class TestRealizedPeriods:
         assert realized_periods(FOUR_DOUBLING, 8, method="direct") == {1, 2, 4}
         assert realized_periods(FOUR_DOUBLING, 8, method="walks") == {1, 2, 4}
         # on the matrix route that lap is a walk of slope product +1
-        assert realized_periods(FOUR_DOUBLING, 8, method="matrix") == {1, 2, 4}
+        assert realized_periods(FOUR_DOUBLING, 8, method="auto") == {1, 2, 4}
 
     def test_stefan_seven_spectrum_excludes_three_and_five(self):
         realized = realized_periods(stefan_pattern(7), 9, method="walks")
@@ -271,7 +271,7 @@ class TestRealizedPeriods:
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_matrix_matches_direct_exhaustively(self, m):
         for pattern in all_patterns(m):
-            matrix = realized_periods(pattern, 8, method="matrix")
+            matrix = realized_periods(pattern, 8, method="auto")
             assert matrix == realized_periods(pattern, 8, method="direct"), pattern
 
     @pytest.mark.parametrize(
@@ -291,19 +291,21 @@ class TestRealizedPeriods:
     def test_matrix_takes_the_swap_from_its_size(self):
         # the swap's one node reverses onto itself: no primitive walk of length 2
         assert pattern_dynamics._primitive_walk_counts(markov_graph(SWAP), 4) == [0, 1, 0, 0, 0]
-        assert realized_periods(SWAP, 4, method="matrix") == {1, 2}
+        assert realized_periods(SWAP, 4, method="auto") == {1, 2}
 
     def test_matrix_answers_far_beyond_the_budgets(self):
         pattern = CyclicPattern.from_cycle_string("1>3>4>2>5>7>6")
-        assert realized_periods(pattern, 200, method="matrix") == set(range(1, 201))
+        assert realized_periods(pattern, 200, method="auto") == set(range(1, 201))
         assert realized_periods(stefan_pattern(7), 200) == set(range(1, 201)) - {3, 5}
 
     def test_both_names_the_routes_that_disagree(self, monkeypatch):
         # a matrix route that saw no walk at all: only the pattern's own period
         monkeypatch.setattr(
-            pattern_dynamics, "_primitive_walk_counts", lambda graph, upto: [0] * (upto + 1)
+            pattern_dynamics,
+            "_primitive_walk_counts",
+            lambda graph, upto, walk_budget: [0] * (upto + 1),
         )
-        assert realized_periods(THREE_CYCLE, 4, method="matrix") == {3}
+        assert realized_periods(THREE_CYCLE, 4, method="auto") == {3}
         with pytest.raises(CertificationFailed) as info:
             realized_periods(THREE_CYCLE, 4, method="both")
         message = str(info.value)
@@ -314,7 +316,7 @@ class TestRealizedPeriods:
     @given(st.integers(min_value=2, max_value=8), st.randoms(use_true_random=False))
     def test_matrix_matches_walks_and_the_direct_route_within_its_budget(self, m, rng):
         pattern = random_pattern(m, rng)
-        matrix = realized_periods(pattern, 8, method="matrix")
+        matrix = realized_periods(pattern, 8, method="auto")
         assert matrix == realized_periods(pattern, 8, method="walks")
         censuses = periodic_orbits_upto(connect_the_dots(pattern), 8, piece_budget=1 << 16)
         checked = 0
