@@ -5,7 +5,7 @@ produce byte-identical output.  JSON objects carry a top-level
 ``"schema": "sharkovsky-lab/1"`` and all rationals appear as "p/q"
 strings.  Exit codes: 0 on success, 2 on usage or precondition errors,
 3 when an exact enumeration exceeds its budget (the message names the
-budget).
+budget).  A failure writes one line to stderr and nothing to stdout.
 
 Budgets come from ``--piece-budget`` / ``--walk-budget``, with environment
 overrides SHARKOVSKY_PIECE_BUDGET and SHARKOVSKY_WALK_BUDGET.  Either way a
@@ -18,13 +18,13 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from . import pattern_dynamics as patterns
 from . import tent_constructions as tent
 from . import witnesses
-from .errors import BudgetError, PreconditionError, SharkovskyLabError
-from .exact_pwl import DEFAULT_PIECE_BUDGET, orbit_of
+from .errors import BudgetError, InvalidPattern, PreconditionError, SharkovskyLabError
+from .exact_pwl import DEFAULT_PIECE_BUDGET, Orbit, connect_the_dots_points, orbit_of
 from .serialize import SCHEMA, format_rational, orbit_to_list, pwlmap_to_obj
 from .sharkovsky_order import forced_periods_upto, sharkovsky_compare
 
@@ -40,7 +40,11 @@ def _emit_json(obj: dict) -> None:
 def _parse_pattern(text: str) -> patterns.CyclicPattern:
     text = text.strip()
     if text.startswith("["):
-        return patterns.CyclicPattern(tuple(json.loads(text)))
+        try:
+            entries = json.loads(text)
+        except RecursionError:
+            raise InvalidPattern("the pattern's JSON nests too deeply") from None
+        return patterns.CyclicPattern(tuple(entries))
     return patterns.CyclicPattern.from_cycle_string(text)
 
 
@@ -107,7 +111,7 @@ def _fmt_opt(value) -> Optional[str]:
 def _cmd_witness(args) -> None:
     pattern = _parse_pattern(args.pattern)
     f = patterns.connect_the_dots(pattern)
-    realization = orbit_of(f, 0)
+    realization = Orbit(connect_the_dots_points(pattern.size))
     if args.kind == "period2":
         if args.period is not None:
             raise PreconditionError("--period applies only to 'witness odd'")
@@ -228,8 +232,15 @@ def _cmd_spectrum(args) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are one stderr line, exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"{self.prog}: error: {' '.join(message.splitlines())}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sharkovsky",
         description="Exact dynamics of piecewise-linear interval maps.",
     )

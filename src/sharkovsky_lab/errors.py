@@ -52,7 +52,7 @@ class PieceBudgetExceeded(BudgetError):
 # -- patterns, graphs and walks ----------------------------------------------
 
 class InvalidPattern(PreconditionError):
-    """The permutation is not a single cycle on 1..m with m >= 2."""
+    """The pattern text does not parse, or is not a single cycle on 1..m, m >= 2."""
 
 
 class NotAWalk(PreconditionError):
@@ -82,7 +82,11 @@ class EvenPeriod(PreconditionError):
 
 
 class PreconditionViolated(PreconditionError):
-    """The crossing condition f(d) <= c < d <= f(c) does not hold."""
+    """A witness's input is not what it requires.
+
+    The crossed pair c, d lies outside the domain or fails
+    f(d) <= c < d <= f(c), or a trace was analysed on another map.
+    """
 
 
 class NotACycle(PreconditionError):

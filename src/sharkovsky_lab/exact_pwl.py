@@ -23,6 +23,7 @@ from typing import Iterable, Iterator, Optional, Union
 from .errors import (
     BadClampBounds,
     NonMonotoneBreakpoints,
+    NotACycle,
     NotAnOrbit,
     NotCovering,
     NotSelfMap,
@@ -189,7 +190,7 @@ class IntervalLoop:
 # with strictly increasing x.  Unlike PwlMap it need not be a self-map, so a
 # map can be restricted to a window before it is composed.  Only this module
 # knows the format: other modules reach the kernel through PwlMap,
-# fixed_structure_on, level_set_on, uncovered_position and follow_cycle,
+# fixed_structure_on, level_set_on, require_cycle and follow_cycle,
 # which take and return Fractions.
 # ---------------------------------------------------------------------------
 
@@ -943,16 +944,15 @@ def is_orbit_of(f: PwlMap, orbit: Orbit) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def uncovered_position(f: PwlMap, loop: IntervalLoop) -> Optional[int]:
-    """The first i at which f(J_i) does not cover J_(i+1 mod n); None for a cycle."""
+def require_cycle(f: PwlMap, loop: IntervalLoop) -> None:
+    """Raise NotACycle at the first i where f(J_i) does not cover J_(i+1 mod n)."""
     checked = set()  # a loop often repeats a step; each is checked once
     for i, J in enumerate(loop):
         K = loop[(i + 1) % len(loop)]
         if (J._span, K._span) not in checked:
             if not f.covers(J, K):
-                return i
+                raise NotACycle(f"f({J}) does not cover {K} at position {i}")
             checked.add((J._span, K._span))
-    return None
 
 
 def follow_cycle(
@@ -963,7 +963,7 @@ def follow_cycle(
 ) -> Optional[Fraction]:
     """The first point y met with f^i(y) in J_i for each i and f^n(y) = y.
 
-    The loop must be a cycle (see :func:`uncovered_position`).  When every
+    The loop must be a cycle (see :func:`require_cycle`).  When every
     J_i is nondegenerate and lies in one lap of nonzero slope, f^n is
     affine on the one chain start and y is one solve.  Otherwise the
     chain starts are searched leftmost first and f^n is solved on each.

@@ -16,11 +16,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from . import witnesses
 from .errors import (
     CertificationFailed,
     InvalidPattern,
-    NoLeastPeriodWitness,
     NotAWalk,
     NotOddPeriod,
     WalkBudgetExceeded,
@@ -31,6 +29,7 @@ from .exact_pwl import (
     IntervalLoop,
     PwlMap,
     connect_the_dots_points,
+    follow_cycle,
     periodic_orbits_upto,
 )
 
@@ -290,20 +289,17 @@ def _realized_by_walks(
     graph = markov_graph(pattern)
     nodes = _node_intervals(pattern)
     realized = set()
+    # node i is a lap onto the nodes between its end images, so every walk
+    # is a cycle of coverings; follow_cycle certifies each point it returns
     for k in range(1, upto + 1):
         if k == pattern.size:  # the pattern's own orbit
             realized.add(k)
             continue
         for walk in _budgeted_walks(graph, k, walk_budget):
             loop = IntervalLoop(tuple(nodes[node - 1] for node in walk))
-            try:
-                witnesses.periodic_point_from_cycle(
-                    f, loop, require_least_period=True, piece_budget=piece_budget
-                )
-            except NoLeastPeriodWitness:
-                continue
-            realized.add(k)
-            break
+            if follow_cycle(f, loop, True, piece_budget) is not None:
+                realized.add(k)
+                break
     return realized
 
 

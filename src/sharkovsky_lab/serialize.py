@@ -4,24 +4,64 @@ Rationals serialize as "p/q" with "/q" omitted for integers, which is
 exactly ``str(Fraction)``.  A map serializes as
 ``{"breakpoints": [["0", "0"], ["1/2", "1"], ["1", "0"]]}`` and an orbit
 as its ascending "p/q" list.  Every emitted value re-parses to an equal
-one.
+one, at any size: past the interpreter's limit on integer string
+conversion (``sys.get_int_max_str_digits()``) the digits are split in
+halves until each half converts, and no process-wide setting changes.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .exact_pwl import Orbit, PwlMap, as_fraction
 
 SCHEMA = "sharkovsky-lab/1"
 
+_RATIONAL = re.compile(r"\s*([+-]?)(\d+)(?:/(\d+))?\s*")
+
+
+def _decimal(n: int) -> str:
+    """The decimal digits of n >= 0."""
+    try:
+        return str(n)
+    except ValueError:  # past the conversion limit
+        half = n.bit_length() * 3 // 20  # about half of n's decimal digits
+        high, low = divmod(n, 10**half)
+        return _decimal(high) + _decimal(low).zfill(half)
+
+
+def _integer(digits: str) -> int:
+    """The value of a string of decimal digits."""
+    try:
+        return int(digits)
+    except ValueError:  # past the conversion limit
+        half = len(digits) // 2
+        return _integer(digits[:-half]) * 10**half + _integer(digits[-half:])
+
 
 def format_rational(value: Fraction) -> str:
-    return str(as_fraction(value))
+    value = as_fraction(value)
+    try:
+        return str(value)
+    except ValueError:  # past the conversion limit
+        text = ("-" if value < 0 else "") + _decimal(abs(value.numerator))
+        return text if value.denominator == 1 else f"{text}/{_decimal(value.denominator)}"
 
 
 def parse_rational(text: str) -> Fraction:
-    return as_fraction(text)
+    try:
+        return as_fraction(text)
+    except ValueError:  # malformed, or past the conversion limit
+        match = _RATIONAL.fullmatch(text)
+        if match is None:
+            raise
+        sign, numerator, denominator = match.groups()
+        denominator = _integer(denominator or "1")
+        if denominator == 0:
+            raise ZeroDivisionError(f"{text!r} has a zero denominator") from None
+        value = Fraction(_integer(numerator), denominator)
+        return -value if sign == "-" else value
 
 
 def pwlmap_to_obj(f: PwlMap) -> dict:

@@ -23,7 +23,6 @@ from .errors import (
     CertificationFailed,
     EvenPeriod,
     NoLeastPeriodWitness,
-    NotACycle,
     NotAnOrbit,
     PeriodTooSmall,
     PreconditionViolated,
@@ -43,7 +42,7 @@ from .exact_pwl import (
     orbit_of,
     orbit_permutation,
     point_of_least_period_in_lap,
-    uncovered_position,
+    require_cycle,
 )
 
 # ---------------------------------------------------------------------------
@@ -211,11 +210,7 @@ def periodic_point_from_cycle(
     branch yields only shorter periods, :class:`NoLeastPeriodWitness` is
     raised.
     """
-    n = len(loop)
-    i = uncovered_position(f, loop)
-    if i is not None:
-        J, K = loop[i], loop[(i + 1) % n]
-        raise NotACycle(f"f({J}) does not cover {K} at position {i}")
+    require_cycle(f, loop)
     return _point_on_cycle(f, loop, require_least_period, piece_budget)
 
 
@@ -436,13 +431,7 @@ def forcing_cycle(trace: OddOrbitTrace, n: int) -> IntervalLoop:
             )
 
     cycle = IntervalLoop(tuple(loop))
-    i = uncovered_position(trace.map, cycle)
-    if i is not None:
-        J, K = cycle[i], cycle[(i + 1) % len(cycle)]
-        raise NotACycle(
-            f"internal covering check failed at position {i}: "
-            f"f({J}) misses {K}; this is a bug"
-        )
+    require_cycle(trace.map, cycle)
     return cycle
 
 

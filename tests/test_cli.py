@@ -1,9 +1,14 @@
 """Command-line surface: output formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
+import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sharkovsky_lab import cli, witnesses
 from sharkovsky_lab import pattern_dynamics as patterns
@@ -134,6 +139,24 @@ class TestWitness:
         assert payload["case"] == "ReboundBelow"
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("kind", [["period2"], ["odd", "--period", "6"]])
+    def test_text_output_walks_no_orbit(self, kind, capsys, monkeypatch):
+        # the realization's points are the support points; --json alone walks
+        def no_walk(*args, **kwargs):
+            raise AssertionError("orbit_of called")
+
+        monkeypatch.setattr(cli, "orbit_of", no_walk)
+        code, out, err = invoke(capsys, "witness", *kind, "--pattern", "1>3>4>2>5")
+        assert code == 0 and err == "" and out.startswith("least period ")
+
+    def test_period_past_the_int_string_limit_prints(self, capsys):
+        # the witness's denominator has more digits than str(int) allows by default
+        code, out, err = invoke(
+            capsys, "witness", "odd", "--pattern", "1>2>3", "--period", "14500"
+        )
+        assert code == 0 and err == ""
+        assert len(out.strip().split("/")[1]) > 4300
+
     def test_unsupported_period_is_a_precondition_error(self, capsys):
         code, _, err = invoke(
             capsys,
@@ -220,6 +243,38 @@ class TestContract:
     def test_usage_error_exits_two(self, capsys):
         assert run(["compare", "3"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv", [["compare", "3", "x"], ["tent"], ["compare", "3", "5", "a\nb"]]
+    )
+    def test_usage_error_is_one_line(self, argv, capsys):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("sharkovsky")
+
+    def test_malformed_environment_budget_is_one_line(self, capsys, monkeypatch):
+        monkeypatch.setenv("SHARKOVSKY_WALK_BUDGET", "abc")
+        code, out, err = invoke(capsys, "compare", "3", "5")
+        assert code == 2 and out == ""
+        assert err == (
+            "sharkovsky: error: SHARKOVSKY_WALK_BUDGET: "
+            "expected a positive integer, got 'abc'\n"
+        )
+
+    def test_help_still_prints_usage(self, capsys):
+        code, out, err = invoke(capsys, "--help")
+        assert code == 0 and err == ""
+        assert out.startswith("usage: sharkovsky") and "--walk-budget" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["pattern", "graph"], ["spectrum", "--upto", "3", "--pattern"],
+         ["witness", "period2", "--pattern"]],
+    )
+    def test_deeply_nested_pattern_json_is_a_usage_error(self, argv, capsys):
+        code, out, err = invoke(capsys, *argv, "[" * 1000)
+        assert code == 2 and out == ""
+        assert err == "error: the pattern's JSON nests too deeply\n"
 
     def test_precondition_error_exits_two(self, capsys):
         code, _, err = invoke(capsys, "pattern", "graph", "1>2>2")
@@ -320,3 +375,115 @@ class TestConsoleScript:
             cli.main()
         assert exc.value.code == code
         capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# the whole grammar: every argv ends in a clean answer or a one-line error
+# ---------------------------------------------------------------------------
+
+#: Text that is never a decimal integer (so a junk token cannot ask for an
+#: unbudgeted amount of work) and never a help flag.
+junk = st.text(
+    st.characters(blacklist_categories=("Cs", "Nd")), max_size=8
+).filter(lambda t: not t.startswith(("-h", "--h")))
+malformed = st.one_of(
+    st.sampled_from(["-1", "0", "1.5", "1e3", "True", "0x10", "", "٣"]), junk
+)
+bad_patterns = st.one_of(
+    st.integers(1, 2000).map(lambda depth: "[" * depth),
+    st.sampled_from(["[[1], [2]]", "[1.5, 2]", "[true, false]", "1>2>2", "1>>2", "[2, 1"]),
+    junk,
+)
+
+
+def ints(lo, hi):
+    """A slot holding an integer in [lo, hi], or a malformed token."""
+    return st.integers(lo, hi).map(str), malformed
+
+
+def word(text):
+    """A slot holding a fixed word, or junk."""
+    return st.just(text), junk
+
+
+@st.composite
+def pattern_slot(draw):
+    m = draw(st.integers(2, 9))
+    pattern = patterns.random_pattern(m, random.Random(draw(st.integers(0, 99))))
+    texts = [pattern.cycle_string(), json.dumps(list(pattern.mapping))]
+    return st.sampled_from(texts), bad_patterns
+
+
+@st.composite
+def cli_argv(draw):
+    """Argv for a random subcommand: valid slots, up to two of them malformed.
+
+    Budgets stay small and the paths that no budget bounds (forced --upto,
+    pattern stefan m, witness --period, the direct and walks spectra) get
+    small bounds.  Flags are never corrupted, so no query runs under the
+    default budgets.
+    """
+    slots = [
+        "--piece-budget", ints(1, 4096),
+        "--walk-budget", ints(1, 10**4),
+    ]
+    command = draw(st.sampled_from(
+        ["compare", "forced", "graph", "stefan", "period2", "odd", "pk", "truncate",
+         "chain", "spectrum"]
+    ))
+    if command == "compare":
+        slots += [word("compare"), ints(1, 10**30), ints(1, 10**30)]
+    elif command == "forced":
+        slots += [word("forced"), ints(1, 40), "--upto", ints(1, 1000)]
+    elif command == "graph":
+        slots += ["pattern", word("graph"), draw(pattern_slot())]
+    elif command == "stefan":
+        slots += ["pattern", word("stefan"), ints(1, 1000)]
+    elif command == "period2":
+        slots += ["witness", word("period2"), "--pattern", draw(pattern_slot())]
+    elif command == "odd":
+        slots += ["witness", word("odd"), "--pattern", draw(pattern_slot()),
+                  "--period", ints(1, 1000)]
+    elif command == "pk":
+        slots += ["tent", word("pk"), ints(1, 10**9)]
+    elif command == "truncate":
+        slots += ["tent", word("truncate"), ints(1, 12), "--spectrum", ints(1, 40)]
+        slots += draw(st.sampled_from([[], ["--format", word("csv")]]))
+    elif command == "chain":
+        slots += ["tent", word("chain"), "--levels", ints(1, 6)]
+    else:
+        method = draw(st.sampled_from(["auto", "direct", "walks", "both"]))
+        # the matrix route answers within the walk budget at any bound
+        upto = ints(1, 10**6 if method == "auto" else 40)
+        slots += ["spectrum", "--pattern", draw(pattern_slot()), "--upto", upto,
+                  "--method", word(method)]
+    if command in ("graph", "period2", "odd") and draw(st.booleans()):
+        slots.append("--json" if command != "graph" else "--dot")
+    bad = draw(st.lists(st.integers(0, len(slots) - 1), max_size=2))
+    argv = [
+        slot if isinstance(slot, str) else draw(slot[i in bad])
+        for i, slot in enumerate(slots)
+    ]
+    if draw(st.integers(0, 7)) == 0:
+        argv.append(draw(junk))
+    return argv
+
+
+TEXT_OUTPUTS = ("digraph covering {\n", cli.SPECTRUM_CSV_COLUMNS + "\n", "least period ")
+
+
+@settings(max_examples=1500, deadline=None)
+@given(cli_argv())
+def test_every_argv_answers_or_fails_in_one_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3)
+    if code:
+        assert out == ""
+        assert err.endswith("\n") and len(err.splitlines()) == 1, err
+    else:
+        assert err == "" and out
+        if not out.startswith(TEXT_OUTPUTS):
+            assert json.loads(out)["schema"] == SCHEMA

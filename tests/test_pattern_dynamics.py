@@ -17,6 +17,7 @@ from sharkovsky_lab import (
     NotAWalk,
     NotOddPeriod,
     PieceBudgetExceeded,
+    PwlMap,
     WalkBudgetExceeded,
     all_patterns,
     closed_walks,
@@ -311,6 +312,22 @@ class TestRealizedPeriods:
         message = str(info.value)
         assert "at period 1" in message
         assert "matrix=False direct=True walks=True" in message
+
+    def test_walks_route_checks_no_covering(self, monkeypatch):
+        # each walk of the covering graph is a cycle of coverings by construction
+        expected = {
+            pattern: realized_periods(pattern, 8, method="auto")
+            for m in (2, 3, 4, 5)
+            for pattern in all_patterns(m)
+        }
+
+        def no_covering_check(self, J, K):
+            raise AssertionError("the walks route re-checked a covering")
+
+        monkeypatch.setattr(PwlMap, "covers", no_covering_check)
+        for pattern, realized in expected.items():
+            assert realized_periods(pattern, 8, method="walks") == realized, pattern
+        assert not hasattr(pattern_dynamics, "witnesses")
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=2, max_value=8), st.randoms(use_true_random=False))
