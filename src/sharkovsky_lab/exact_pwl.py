@@ -102,39 +102,51 @@ class Interval:
         return f"[{self.lo}, {self.hi}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Orbit:
-    """A finite periodic orbit, stored as its ascending point list."""
+    """A finite periodic orbit, holding its ascending points as kernel pairs.
 
-    points: tuple[Fraction, ...]
+    Equality, hashing and the hull read the pairs; the Fraction ``points``
+    are built on first use (an orbit built from Fractions keeps them).
+    """
 
-    def __post_init__(self) -> None:
-        pts = tuple(sorted(as_fraction(p) for p in self.points))
+    _pairs: tuple["Q", ...]
+
+    def __init__(self, points: Iterable[RationalLike]) -> None:
+        pts = tuple(sorted(as_fraction(p) for p in points))
         if not pts:
             raise NotAnOrbit("an orbit needs at least one point")
         for a, b in zip(pts, pts[1:]):
             if a == b:
                 raise NotAnOrbit(f"duplicate orbit point {a}")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_pairs", tuple(map(_q, pts)))
+        self.__dict__["points"] = pts
 
     @classmethod
-    def _of(cls, points: Iterable[Fraction]) -> "Orbit":
-        """Wrap points that are already ascending and distinct."""
+    def _of(cls, pairs: tuple["Q", ...]) -> "Orbit":
+        """Wrap kernel pairs that are already ascending and distinct."""
         orbit = object.__new__(cls)
-        object.__setattr__(orbit, "points", tuple(points))
+        object.__setattr__(orbit, "_pairs", pairs)
         return orbit
+
+    @cached_property
+    def points(self) -> tuple[Fraction, ...]:
+        return tuple(map(_fraction, self._pairs))
+
+    def __repr__(self) -> str:
+        return f"Orbit(points={self.points!r})"
 
     @property
     def period(self) -> int:
-        return len(self.points)
+        return len(self._pairs)
 
     @property
     def minimum(self) -> Fraction:
-        return self.points[0]
+        return _fraction(self._pairs[0])
 
     @property
     def maximum(self) -> Fraction:
-        return self.points[-1]
+        return _fraction(self._pairs[-1])
 
     @property
     def diameter(self) -> Fraction:
@@ -145,7 +157,7 @@ class Orbit:
         return Interval(self.minimum, self.maximum)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self._pairs)
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.points)
@@ -189,9 +201,9 @@ class IntervalLoop:
 # one gcd.  A "pairs" value is a tuple of flat breakpoints (xn, xd, yn, yd)
 # with strictly increasing x.  Unlike PwlMap it need not be a self-map, so a
 # map can be restricted to a window before it is composed.  Only this module
-# knows the format: other modules reach the kernel through PwlMap,
-# fixed_structure_on, level_set_on, require_cycle and follow_cycle,
-# which take and return Fractions.
+# knows the format: other modules reach the kernel through PwlMap, Orbit,
+# fixed_structure_on, level_set_on, narrowest_orbit, require_cycle and
+# follow_cycle, which take and return Fractions.
 # ---------------------------------------------------------------------------
 
 Q = tuple[int, int]
@@ -278,6 +290,28 @@ def _index(pairs: Pairs, n: int, d: int) -> int:
 def _eval_pairs(pairs: Pairs, x: Q) -> Q:
     n, d = x
     return _value_at(pairs, _index(pairs, n, d), n, d)
+
+
+def _lap_form(p0: Breakpoint, p1: Breakpoint) -> tuple[int, int, int]:
+    """(p, r, d) such that the lap from p0 to p1 is x -> (p x + r) / d, d > 0."""
+    (x0n, x0d, y0n, y0d), (x1n, x1d, y1n, y1d) = p0, p1
+    p = (y1n * y0d - y0n * y1d) * x0d * x1d  # each over x0d x1d y0d y1d
+    r = y0n * y1d * x1n * x0d - y1n * y0d * x0n * x1d
+    return p, r, (x1n * x0d - x0n * x1d) * y0d * y1d
+
+
+def _eval_ascending(pairs: Pairs, xs: list[Q]) -> list[Q]:
+    """f at ascending points of its domain, in one pass over its laps."""
+    forms = [_lap_form(p0, p1) for p0, p1 in _laps(pairs)]
+    values, j, last = [], 0, len(forms) - 1
+    for n, d in xs:
+        while j < last and pairs[j + 1][0] * d < n * pairs[j + 1][1]:
+            j += 1  # the point lies right of lap j
+        p, r, q = forms[j]
+        num, den = p * n + r * d, q * d
+        g = gcd(num, den)
+        values.append((num // g, den // g))
+    return values
 
 
 def _span(pairs: Pairs) -> str:
@@ -783,7 +817,7 @@ def orbit_of(f: PwlMap, y: RationalLike, max_steps: int = 10_000) -> Orbit:
         current = f(current)
         q = _q(current)
         if q == start:
-            return Orbit._of(sorted(seen, key=lambda p: _ASCENDING(_q(p))))
+            return Orbit._of(tuple(sorted(visited, key=_ASCENDING)))
         if q in visited:
             raise NotAnOrbit(f"{y} is pre-periodic, not periodic")
         seen.append(current)
@@ -847,23 +881,31 @@ def _census(
 ) -> PeriodicOrbits:
     """Sort the solutions of f^k(x) = x into the orbits of least period k.
 
-    ``fixed`` is the _fixed_structure of f^k.  Its points are scanned in
-    ascending order and each orbit is walked once, from its first point
-    met, which is its minimum; the points it visits are skipped afterwards.
-    The set of points not yet placed holds the scanned list's own values,
-    so the walks add no copies.  Only the orbits found leave the kernel as
-    Fractions.  ``solved`` is passed on to the identity laps' _lap_point.
+    ``fixed`` is the _fixed_structure of f^k, whose points f permutes.
+    One pass evaluates f once at each, and the cycles of the permutation,
+    scanned from the lowest position, are the orbits by minimum; positions
+    order each orbit, so no two rationals are compared.  NotAnOrbit unless
+    f maps each point to a point and each cycle's length divides k.
+    ``solved`` is passed on to the identity laps' _lap_point.
     """
     points, laps = fixed
-    unplaced = set(points)
+    position = {y: i for i, y in enumerate(points)}
+    successor = [position.get(v) for v in _eval_ascending(f._pairs, points)]
+    placed = bytearray(len(points))
     orbits = []
-    for y in points:
-        if y not in unplaced:
+    for start in range(len(points)):
+        if placed[start]:
             continue
-        traj = _orbit_walk(f._pairs, y, k)
-        unplaced.difference_update(traj)
-        if len(traj) == k:
-            orbits.append(Orbit._of(map(_fraction, sorted(traj, key=_ASCENDING))))
+        cycle, i = [], start
+        while i is not None and not placed[i] and len(cycle) < k:
+            placed[i] = 1
+            cycle.append(i)
+            i = successor[i]
+        if i != start or k % len(cycle):
+            y = _fraction(points[start])
+            raise NotAnOrbit(f"{y} is not fixed by the {k}-th iterate")
+        if len(cycle) == k:
+            orbits.append(Orbit._of(tuple(points[i] for i in sorted(cycle))))
     continuum = _intervals(
         (lo, hi)
         for lo, hi in laps
@@ -918,12 +960,13 @@ def orbit_permutation(f: PwlMap, orbit: Orbit) -> Optional[tuple[int, ...]]:
     """The one-line rank map sigma of the orbit: f(x_i) = x_sigma(i).
 
     Ranks count from 1 over the ascending points, and ``sigma[i - 1]`` is
-    sigma(i).  None unless f permutes the points in a single cycle.
+    sigma(i).  None unless f permutes the points in a single cycle.  It
+    runs on kernel pairs and builds no Fraction.
     """
-    pts = orbit.points
+    pts = orbit._pairs
     rank = {p: i for i, p in enumerate(pts, start=1)}
     try:
-        sigma = tuple(rank.get(f(p)) for p in pts)
+        sigma = tuple(rank.get(_eval_pairs(f._pairs, p)) for p in pts)
     except OutOfDomain:
         return None
     if None in sigma:
@@ -937,6 +980,24 @@ def orbit_permutation(f: PwlMap, orbit: Orbit) -> Optional[tuple[int, ...]]:
 def is_orbit_of(f: PwlMap, orbit: Orbit) -> bool:
     """True when f permutes the orbit's points in a single cycle."""
     return orbit_permutation(f, orbit) is not None
+
+
+def _narrower(o: Orbit, p: Orbit) -> int:
+    """The sign of o's (diameter, minimum) against p's, cross-multiplied."""
+    (an, ad), (bn, bd) = o._pairs[0], o._pairs[-1]
+    (cn, cd), (en, ed) = p._pairs[0], p._pairs[-1]
+    wider = (bn * ad - an * bd) * cd * ed - (en * cd - cn * ed) * ad * bd
+    return wider or an * cd - cn * ad
+
+
+def narrowest_orbit(orbits: Iterable[Orbit], window: Interval) -> Optional[Orbit]:
+    """The orbit of least (diameter, minimum) with its hull in the window.
+
+    None when there is none.  No orbit's points become Fractions here.
+    """
+    lo, hi = window._span
+    inside = (o for o in orbits if _le(lo, o._pairs[0]) and _le(o._pairs[-1], hi))
+    return min(inside, key=cmp_to_key(_narrower), default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -1021,11 +1082,7 @@ def _lap_aligned_solution(f: Pairs, spans: list[tuple[Q, Q]]) -> Optional[Q]:
         i = _locate(f, *lo)
         if lo == hi or not 0 < i < len(f) or not _le(hi, f[i]):
             return None
-        (x0n, x0d, y0n, y0d), (x1n, x1d, y1n, y1d) = f[i - 1], f[i]
-        # the lap is x -> (p x + r) / d over the denominator x0d x1d y0d y1d
-        p = (y1n * y0d - y0n * y1d) * x0d * x1d
-        r = y0n * y1d * x1n * x0d - y1n * y0d * x0n * x1d
-        d = (x1n * x0d - x0n * x1d) * y0d * y1d
+        p, r, d = _lap_form(f[i - 1], f[i])
         u, v, w = p * u, p * v + r * w, d * w
         g = gcd(u, v, w)
         u, v, w = u // g, v // g, w // g

@@ -21,6 +21,7 @@ from .exact_pwl import (
     Orbit,
     PwlMap,
     is_orbit_of,
+    narrowest_orbit,
     periodic_orbits,
     periodic_orbits_upto,
 )
@@ -42,13 +43,30 @@ def minimal_diameter_orbit(
     Ties break toward the smallest minimum point.  Orbits carried by
     identity laps (a continuum) have no well-defined minimal diameter and
     are not considered; they never occur for the tent family.
+
+    A window W inside the domain is censused through the clamp
+    g = median(W.lo, f, W.hi), keeping the orbits that f permutes; for the
+    tent, k = 12 and W the hull of its chain's period-6 orbit, g^k has 210
+    breakpoints and f^k 4,097.  The answer is the whole-domain one.  g = f
+    where f maps into W, so f's orbits in W are g's orbits that f permutes.
+    A census omits exactly the orbits around which the iterate is the
+    identity, and around an orbit in W's interior f^k = g^k.  g^k maps
+    into W, so g's census omits no orbit touching W's boundary, but f's
+    may: when f permutes such an orbit, the whole domain is censused.
     """
     window = within if within is not None else f.domain
-    census = periodic_orbits(f, k, piece_budget)
-    inside = [o for o in census.orbits if window.encloses(o.hull)]
-    if not inside:
+    lo, hi, orbits = window.lo, window.hi, None
+    if window != f.domain and f.domain.encloses(window):
+        clamped = periodic_orbits(f.clamp(lo, hi), k, piece_budget)
+        orbits = [o for o in clamped if is_orbit_of(f, o)]
+        if any(o.minimum == lo or o.maximum == hi for o in orbits):
+            orbits = None
+    if orbits is None:
+        orbits = periodic_orbits(f, k, piece_budget).orbits
+    best = narrowest_orbit(orbits, window)
+    if best is None:
         raise NoSuchOrbit(f"no least-period-{k} orbit inside {window}")
-    return min(inside, key=lambda o: (o.diameter, o.minimum))
+    return best
 
 
 @dataclass(frozen=True)

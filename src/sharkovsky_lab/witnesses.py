@@ -367,7 +367,7 @@ def analyze_odd_orbit(f: PwlMap, orbit: Orbit) -> OddOrbitTrace:
     if trace is None:
         # x -> lo + hi - x reverses the ranks: sigma'(i) = m + 1 - sigma(m + 1 - i)
         total, m = f.domain.lo + f.domain.hi, len(sigma)
-        reflected = Orbit._of(total - p for p in reversed(orbit.points))
+        reflected = Orbit(total - p for p in reversed(orbit.points))
         mirror = tuple(m + 1 - r for r in reversed(sigma))
         trace = _analyze_oriented(_reflect_map(f), reflected, mirror, mirrored=True)
         if trace is None:

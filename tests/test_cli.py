@@ -13,7 +13,10 @@ from hypothesis import strategies as st
 from sharkovsky_lab import cli, witnesses
 from sharkovsky_lab import pattern_dynamics as patterns
 from sharkovsky_lab.cli import run
-from sharkovsky_lab.serialize import SCHEMA, orbit_from_list, pwlmap_from_obj
+from sharkovsky_lab.exact_pwl import is_orbit_of
+from sharkovsky_lab.serialize import (
+    SCHEMA, format_rational, orbit_from_list, pwlmap_from_obj,
+)
 from sharkovsky_lab.tent_constructions import tent_map
 
 
@@ -197,6 +200,19 @@ class TestTent:
         assert payload["q0"] == "22/63" and payload["q1"] == "52/63"
         assert orbit_from_list(payload["levels"][0]).period == 3
         assert orbit_from_list(payload["levels"][1]).period == 6
+
+    def test_chain_reaches_level_three_under_the_default_budgets(self, capsys):
+        # level 3 is censused through the clamp at the period-12 hull; the
+        # whole domain would need tent^24, over the default piece budget
+        payload = invoke_json(capsys, "tent", "chain", "--levels", "3")
+        levels = [orbit_from_list(o) for o in payload["levels"]]
+        assert [o.period for o in levels] == [3, 6, 12, 24]
+        for outer, inner in zip(levels, levels[1:]):
+            assert outer.minimum < inner.minimum and inner.maximum < outer.maximum
+        assert is_orbit_of(tent_map(), levels[3])
+        assert [payload["q0"], payload["q1"]] == [
+            format_rational(levels[3].minimum), format_rational(levels[3].maximum)
+        ]
 
 
 class TestSpectrum:

@@ -14,6 +14,7 @@ from sharkovsky_lab import (
     CyclicPattern,
     FixedPoints,
     Interval,
+    NoSuchOrbit,
     NonMonotoneBreakpoints,
     NotAnOrbit,
     NotCovering,
@@ -707,6 +708,15 @@ class TestIntegerKernel:
         assert got == chain(ref_iterates, f.breakpoints, tuple)
 
     @settings(max_examples=150, deadline=None)
+    @given(general_maps(), st.lists(st.fractions(0, 1, max_denominator=10**6), max_size=9))
+    def test_one_pass_evaluation_matches_the_pointwise_one(self, f, shares):
+        dom = f.domain
+        xs = {dom.lo + dom.length * t for t in shares} | {x for x, _ in f.breakpoints}
+        qs = [(x.numerator, x.denominator) for x in sorted(xs)]
+        pointwise = [exact_pwl._eval_pairs(f._pairs, q) for q in qs]
+        assert exact_pwl._eval_ascending(f._pairs, qs) == pointwise
+
+    @settings(max_examples=150, deadline=None)
     @given(maps_and_windows(), st.integers(min_value=1, max_value=4), st.booleans())
     def test_every_iterate_takes_values_in_the_domain(self, case, n, whole):
         # _iterates checks no values: f o g only takes values of the self-map f
@@ -1091,18 +1101,38 @@ class TestCensus:
         assert fixed_points_of_iterate(f, 4).has_continuum
 
     def test_each_tent_orbit_is_walked_once(self, monkeypatch):
-        calls = []
-        original = exact_pwl._eval_pairs
+        evaluated = []
+        one, batch = exact_pwl._eval_pairs, exact_pwl._eval_ascending
 
-        def counted(pairs, x):
-            calls.append(x)
-            return original(pairs, x)
+        def counted_one(pairs, x):
+            evaluated.append(x)
+            return one(pairs, x)
 
-        monkeypatch.setattr(exact_pwl, "_eval_pairs", counted)
+        def counted_batch(pairs, xs):
+            evaluated.extend(xs)
+            return batch(pairs, xs)
+
+        monkeypatch.setattr(exact_pwl, "_eval_pairs", counted_one)
+        monkeypatch.setattr(exact_pwl, "_eval_ascending", counted_batch)
         census = periodic_orbits(TENT, 10)
         assert len(census) == 99
-        # each of the 99 orbits takes ten steps; all 2^10 solutions, one each
-        assert 10 * len(census) <= len(calls) <= 2**10
+        # all 2^10 solutions of tent^10(x) = x, each evaluated once
+        assert len(evaluated) == len(set(evaluated)) == 2**10
+
+    @pytest.mark.parametrize(
+        "k, points",
+        [
+            (2, [(1, 3)]),  # f(1/3) = 2/3 is not a listed solution
+            (2, [(2, 7), (4, 7), (6, 7)]),  # a 3-cycle longer than k
+            (4, [(2, 7), (4, 7), (6, 7)]),  # a cycle whose length does not divide k
+            (1, [(0, 1), (1, 1)]),  # 0 and 1 both map to 0
+        ],
+        ids=["unlisted-value", "long-cycle", "non-divisor", "not-one-to-one"],
+    )
+    def test_census_certifies_the_solutions_it_is_given(self, k, points):
+        budget = exact_pwl.DEFAULT_PIECE_BUDGET
+        with pytest.raises(NotAnOrbit, match="is not fixed by the"):
+            exact_pwl._census(TENT, k, (points, []), budget, None)
 
     def test_spectrum_composes_each_iterate_once(self, monkeypatch):
         calls = []
@@ -1169,3 +1199,125 @@ class TestCensus:
 
         monkeypatch.setattr(pattern_dynamics, "periodic_orbits_upto", refuse)
         assert realized_periods(CyclicPattern((2, 3, 1)), 5, "walks") == {1, 2, 3, 4, 5}
+
+
+def reference_minimal_diameter_orbit(f, k, within=None):
+    """The whole-domain census filtered by hull, which the windowed search must match."""
+    window = within if within is not None else f.domain
+    inside = [o for o in periodic_orbits(f, k) if window.encloses(o.hull)]
+    if not inside:
+        raise NoSuchOrbit(f"no least-period-{k} orbit inside {window}")
+    return min(inside, key=lambda o: (o.diameter, o.minimum))
+
+
+#: f^2 is the identity around the 2-cycle {1/3, 2/3}, so the whole-domain
+#: census reports a continuum there and lists no orbit inside [1/3, 2/3].
+#: Clamped to that window the cycle is isolated and the clamp has no
+#: continuum: only the cycle lying on the window's ends sends the search
+#: back to the whole domain.
+SWAP_AT_THE_EDGES = PwlMap(
+    [(0, F(1, 3)), (F(9, 20), F(47, 60)), (F(11, 20), F(13, 60)), (1, F(2, 3))]
+)
+
+
+@st.composite
+def windowed_queries(draw):
+    """A map, a period and a window.
+
+    The window is the hull of an orbit (one inside a continuum comes with
+    its own period), or spans two solutions of an iterate, or is a part of
+    one of these, or the domain.
+    """
+    kind = draw(st.sampled_from(["tent", "pattern", "identity-laps", "general"]))
+    if kind == "tent":
+        f, top = TENT, 8
+    elif kind == "pattern":
+        m, seed = draw(st.integers(3, 7)), draw(st.integers(0, 10**6))
+        f, top = connect_the_dots(random_pattern(m, random.Random(seed))), 5
+    elif kind == "identity-laps":
+        f, top = draw(st.sampled_from(IDENTITY_LAP_MAPS + [SWAP_AT_THE_EDGES])), 6
+    else:
+        f, top = draw(general_maps()), 4
+    j, shares = draw(st.integers(1, top)), st.fractions(0, 1, max_denominator=60)
+    fixed = fixed_points_of_iterate(f, j)
+    if fixed.identity_laps and draw(st.booleans()):
+        # an orbit inside a continuum, at its own period and hull
+        lap = draw(st.sampled_from(fixed.identity_laps))
+        orbit = orbit_of(f, lap.lo + draw(shares) * lap.length)
+        return f, orbit.period, orbit.hull
+    spans = [o.hull for o in periodic_orbits(f, j)]
+    spans.append(Interval.between(*(draw(st.sampled_from(fixed.points)) for _ in "ab")))
+    span = draw(st.sampled_from(spans))
+    ts = sorted(draw(shares) for _ in "ab")
+    part = Interval(*(span.lo + t * span.length for t in ts))
+    window = draw(st.sampled_from([span, part, f.domain]))
+    return f, draw(st.integers(1, top)), window
+
+
+class TestWindowedSearch:
+    def _assert_matches_reference(self, f, k, window):
+        try:
+            expected = reference_minimal_diameter_orbit(f, k, window)
+        except NoSuchOrbit:
+            with pytest.raises(NoSuchOrbit):
+                minimal_diameter_orbit(f, k, window)
+        else:
+            assert minimal_diameter_orbit(f, k, window) == expected
+
+    @settings(max_examples=120, deadline=None)
+    @given(windowed_queries())
+    def test_matches_the_whole_domain_census(self, query):
+        self._assert_matches_reference(*query)
+
+    @pytest.mark.parametrize(
+        "f, k, window",
+        [
+            # the clamp's square is the identity on the window, whose ends
+            # are a 2-cycle of the clamp and of NEG
+            (NEG, 2, Interval(F(1, 5), F(4, 5))),
+            (SWAP_AT_THE_EDGES, 2, Interval(F(1, 3), F(2, 3))),
+            (TENT, 6, minimal_diameter_orbit(TENT, 3).hull),  # the chain's level 1
+            (TENT, 3, Interval(F(-1), F(2))),  # wider than the domain
+            (TENT, 1, Interval(F(2, 3), F(2, 3))),  # one point, a fixed one
+        ],
+        ids=["reflection", "swap-at-the-edges", "chain-level", "wide", "fixed-point"],
+    )
+    def test_matches_the_whole_domain_census_at_the_fallbacks(self, f, k, window):
+        self._assert_matches_reference(f, k, window)
+
+    def test_the_edge_orbit_is_isolated_only_in_the_clamp(self):
+        clamped = periodic_orbits(SWAP_AT_THE_EDGES.clamp(F(1, 3), F(2, 3)), 2)
+        assert not clamped.continuum
+        assert [list(o) for o in clamped] == [[F(1, 3), F(2, 3)]]
+        assert is_orbit_of(SWAP_AT_THE_EDGES, clamped[0])
+        assert periodic_orbits(SWAP_AT_THE_EDGES, 2).continuum
+
+    def test_only_the_chosen_orbit_becomes_fractions(self, monkeypatch):
+        built = []
+        original = exact_pwl._fraction
+
+        def counted(q):
+            built.append(q[:2])  # a breakpoint stands for its x
+            return original(q)
+
+        monkeypatch.setattr(exact_pwl, "_fraction", counted)
+        orbit = minimal_diameter_orbit(TENT, 10)
+        points = orbit.points
+        monkeypatch.undo()
+        chosen = {(p.numerator, p.denominator) for p in points}
+        assert len(points) == 10
+        assert set(built) <= chosen | {(0, 1), (1, 1)}  # and the domain's ends
+
+    def test_kernel_built_and_fraction_built_orbits_agree(self):
+        kernel_built = periodic_orbits(TENT, 5)
+        fraction_built = reference_census(TENT, 5)  # Orbit(...) on Fractions
+        assert len(kernel_built) == len(fraction_built) == 6
+        for kernel, fractions in zip(kernel_built, fraction_built):
+            assert "points" in vars(fractions) and "points" not in vars(kernel)
+            assert kernel == fractions and {kernel: 1}[fractions] == 1
+            assert (kernel.minimum, kernel.maximum, kernel.diameter, kernel.hull) == (
+                fractions.minimum, fractions.maximum, fractions.diameter, fractions.hull
+            )
+            assert "points" not in vars(kernel)  # the end pairs sufficed
+            assert repr(kernel) == repr(fractions)
+            assert all(type(p) is F for p in kernel.points)
