@@ -33,9 +33,11 @@ from .errors import (
 )
 from .exact_pwl import (
     DEFAULT_PIECE_BUDGET,
+    DEFAULT_WALK_BUDGET,
     FixedPoints,
     Interval,
     IntervalLoop,
+    MarkovGraph,
     Orbit,
     PeriodicOrbits,
     PwlMap,
@@ -43,15 +45,14 @@ from .exact_pwl import (
     fixed_points_of_iterate,
     is_orbit_of,
     least_period,
+    markov_partition,
     orbit_of,
     periodic_orbits,
     periodic_orbits_upto,
     point_of_least_period_in_lap,
 )
 from .pattern_dynamics import (
-    DEFAULT_WALK_BUDGET,
     CyclicPattern,
-    MarkovGraph,
     all_patterns,
     closed_walks,
     connect_the_dots,

@@ -23,7 +23,9 @@ from typing import NoReturn, Optional, Sequence
 from . import pattern_dynamics as patterns
 from . import tent_constructions as tent
 from . import witnesses
-from .errors import BudgetError, InvalidPattern, PreconditionError, SharkovskyLabError
+from .errors import (
+    BudgetError, InvalidPattern, PreconditionError, SharkovskyLabError, WalkBudgetExceeded,
+)
 from .exact_pwl import DEFAULT_PIECE_BUDGET, Orbit, connect_the_dots_points, orbit_of
 from .serialize import SCHEMA, format_rational, orbit_to_list, pwlmap_to_obj
 from .sharkovsky_order import forced_periods_upto, sharkovsky_compare
@@ -71,6 +73,8 @@ def _cmd_compare(args) -> None:
 
 
 def _cmd_forced(args) -> None:
+    if args.upto > args.walk_budget:  # one period listed per unit
+        raise WalkBudgetExceeded(f"more than {args.walk_budget} periods to list")
     _emit_json(
         {
             "m": args.m,
@@ -116,6 +120,7 @@ def _cmd_witness(args) -> None:
         if args.period is not None:
             raise PreconditionError("--period applies only to 'witness odd'")
         w = witnesses.period_two_from_orbit(f, realization)
+        period, point = 2, w.point
         payload = {
             "pattern": pattern.cycle_string(),
             "case": w.case.value,
@@ -125,20 +130,13 @@ def _cmd_witness(args) -> None:
             "upper_preimage": format_rational(w.upper_preimage),
             "left_fixed": _fmt_opt(w.left_fixed),
             "lower_preimage": _fmt_opt(w.lower_preimage),
-            "witness": format_rational(w.point),
+            "witness": format_rational(point),
         }
-        if args.json:
-            payload["orbit"] = orbit_to_list(orbit_of(f, w.point, max_steps=2))
-            _emit_json(payload)
-        else:
-            print(f"least period 2 point: {payload['witness']}")
     else:  # odd
         if args.period is None:
             raise PreconditionError("--period is required for 'witness odd'")
-        trace = witnesses.analyze_odd_orbit(f, realization)
-        point = witnesses.witness_from_trace(
-            f, trace, args.period, piece_budget=args.piece_budget
-        )
+        period, trace = args.period, witnesses.analyze_odd_orbit(f, realization)
+        point = witnesses.witness_from_trace(f, trace, period, piece_budget=args.piece_budget)
         payload = {
             "pattern": pattern.cycle_string(),
             "period": args.period,
@@ -154,22 +152,19 @@ def _cmd_witness(args) -> None:
             "lower_relay": _fmt_opt(trace.lower_relay),
             "witness": format_rational(point),
         }
-        if args.json:
-            # the period is certified, so the walk returns within that many steps
-            payload["orbit"] = orbit_to_list(
-                orbit_of(f, point, max_steps=args.period)
-            )
-            _emit_json(payload)
-        else:
-            print(f"least period {args.period} point: {payload['witness']}")
+    if args.json:
+        # the period is certified, so the walk returns within that many steps
+        payload["orbit"] = orbit_to_list(orbit_of(f, point, max_steps=period))
+        _emit_json(payload)
+    else:
+        print(f"least period {period} point: {payload['witness']}")
 
 
 def _cmd_tent(args) -> None:
     base = tent.tent_map()
+    if args.action in ("pk", "truncate"):
+        orbit = tent.minimal_diameter_orbit(base, args.k, piece_budget=args.piece_budget)
     if args.action == "pk":
-        orbit = tent.minimal_diameter_orbit(
-            base, args.k, piece_budget=args.piece_budget
-        )
         _emit_json(
             {
                 "k": args.k,
@@ -178,9 +173,6 @@ def _cmd_tent(args) -> None:
             }
         )
     elif args.action == "truncate":
-        orbit = tent.minimal_diameter_orbit(
-            base, args.k, piece_budget=args.piece_budget
-        )
         truncated = tent.truncate_at_orbit(base, orbit)
         entries = tent.period_spectrum(
             truncated.map, args.spectrum, piece_budget=args.piece_budget
@@ -255,8 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--walk-budget",
         type=_positive_int,
         default=None,
-        help="cap on enumerated closed walks, and on the walk-count "
-        "additions of spectrum's default route (env SHARKOVSKY_WALK_BUDGET)",
+        help="cap on enumerated closed walks, on the walk-count "
+        "additions of spectrum's default route, and on the periods "
+        "'forced --upto' lists (env SHARKOVSKY_WALK_BUDGET)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -25,15 +24,16 @@ from .errors import (
 )
 from .exact_pwl import (
     DEFAULT_PIECE_BUDGET,
+    DEFAULT_WALK_BUDGET,
     Interval,
     IntervalLoop,
+    MarkovGraph,
     PwlMap,
     connect_the_dots_points,
     follow_cycle,
     periodic_orbits_upto,
+    primitive_walk_counts,
 )
-
-DEFAULT_WALK_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -129,37 +129,11 @@ def connect_the_dots(pattern: CyclicPattern) -> PwlMap:
     return PwlMap([(xs[i - 1], xs[pattern.image(i) - 1]) for i in range(1, m + 1)])
 
 
-@dataclass(frozen=True)
-class MarkovGraph:
-    """Directed covering graph on the m-1 consecutive-point intervals."""
-
-    node_count: int
-    edges: frozenset[tuple[int, int]]
-
-    @cached_property
-    def _successors(self) -> dict[int, list[int]]:
-        """Each node's successors, ascending, built once per graph."""
-        succ: dict[int, list[int]] = {i: [] for i in range(1, self.node_count + 1)}
-        for a, j in sorted(self.edges):
-            succ.setdefault(a, []).append(j)
-        return succ
-
-    def successors(self, i: int) -> list[int]:
-        return list(self._successors.get(i, ()))
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return (i, j) in self.edges
-
-    def to_dot(self) -> str:
-        lines = ["digraph covering {"]
-        for i, j in sorted(self.edges):
-            lines.append(f"  {i} -> {j};")
-        lines.append("}")
-        return "\n".join(lines)
-
-
 def markov_graph(pattern: CyclicPattern) -> MarkovGraph:
-    """Edge (i, j) exactly when the i-th interval's image spans the j-th."""
+    """Edge (i, j) exactly when the i-th interval's image spans the j-th.
+
+    markov_partition(connect_the_dots(pattern)), read off the ranks.
+    """
     m = pattern.size
     edges = set()
     for i in range(1, m):
@@ -245,43 +219,6 @@ def loop_to_intervals(pattern: CyclicPattern, walk: tuple[int, ...]) -> Interval
     return IntervalLoop(tuple(nodes[node - 1] for node in walk))
 
 
-def _primitive_walk_counts(
-    graph: MarkovGraph, upto: int, walk_budget: int = DEFAULT_WALK_BUDGET
-) -> list[int]:
-    """[0, p(1), ..., p(upto)]: p(k) closed walks of length k repeat no shorter walk.
-
-    Walks count once per starting node.  tr(A^k) counts every closed walk
-    of length k, and one repeating a primitive walk of length d < k is
-    counted in p(d).  A is 0/1, so row i of A^k is the sum of the rows of
-    A^(k-1) at i's successors: the powers take additions only.  Each
-    length spends one unit of walk_budget per addition, entries and
-    divisor terms alike, and per 64-bit word of the largest entry, so the
-    budget bounds the counts' time and size.
-    """
-    succ = graph._successors
-    nodes = range(1, graph.node_count + 1)
-    additions = graph.node_count * len(graph.edges)  # per power
-    spent, words = 0, 1
-    power = [[int(i == j) for j in nodes] for i in nodes]
-    prim = [0]
-    # sieve of proper divisors: sieve[k] lists the d < k seen so far with d | k
-    sieve: dict[int, list[int]] = {}
-    for k in range(1, upto + 1):
-        shorter = sieve.pop(k, [])
-        spent += (additions + len(shorter)) * words
-        if spent > walk_budget:
-            raise WalkBudgetExceeded(
-                f"more than {walk_budget} walk-count additions by length {k}"
-            )
-        power = [[sum(c) for c in zip(*(power[j - 1] for j in succ[i]))] for i in nodes]
-        trace = sum(row[i] for i, row in enumerate(power))
-        prim.append(trace - sum(prim[d] for d in shorter))
-        for d in (*shorter, k):
-            sieve.setdefault(k + d, []).append(d)
-        words = 1 + max(map(max, power)).bit_length() // 64
-    return prim
-
-
 def _realized_by_walks(
     pattern: CyclicPattern, upto: int, piece_budget: int, walk_budget: int
 ) -> set[int]:
@@ -345,7 +282,7 @@ def realized_periods(
     periods = range(1, upto + 1)
     answers = {}
     if method in {"auto", "both"}:
-        prim = _primitive_walk_counts(markov_graph(pattern), upto, walk_budget)
+        prim = primitive_walk_counts(markov_graph(pattern), upto, walk_budget)
         answers["matrix"] = {k for k in periods if prim[k] > 0 or k == pattern.size}
     if method in {"direct", "both"}:
         censuses = periodic_orbits_upto(connect_the_dots(pattern), upto, piece_budget)

@@ -21,6 +21,7 @@ from .exact_pwl import (
     Orbit,
     PwlMap,
     is_orbit_of,
+    markov_orbit_counts,
     narrowest_orbit,
     periodic_orbits,
     periodic_orbits_upto,
@@ -110,16 +111,17 @@ def period_spectrum(
 
     ``continuum`` flags periods whose points fill whole intervals (identity
     laps of the iterate); the count then covers the isolated orbits only.
-    Each iterate is composed once (see :func:`periodic_orbits_upto`).
+    Tent truncations and other expanding Markov maps are counted from walks
+    (:func:`markov_orbit_counts`), others censused with each iterate
+    composed once (:func:`periodic_orbits_upto`).
     """
-    censuses = periodic_orbits_upto(f, upto, piece_budget)
+    censuses = periodic_orbits_upto(f, upto, piece_budget)  # checks upto, lazily
+    counts = markov_orbit_counts(f, upto, piece_budget)
+    if counts is not None:
+        return [SpectrumEntry(k, counts[k], False) for k in range(1, upto + 1)]
     return [
-        SpectrumEntry(
-            period=k,
-            orbit_count=len(census.orbits),
-            continuum=bool(census.continuum),
-        )
-        for k, census in enumerate(censuses, start=1)
+        SpectrumEntry(k, len(c.orbits), bool(c.continuum))
+        for k, c in enumerate(censuses, start=1)
     ]
 
 

@@ -124,34 +124,23 @@ def period_two_from_crossing(
     upper_preimage = _leftmost_solution(f, d, Interval(c, first_fixed))
 
     fixed_left = () if a == c else fixed_structure_on(f, Interval(a, c)).points
-    if not fixed_left:
-        # f fixes nothing in [a, upper_preimage], and f^2 crosses the
-        # diagonal between a and upper_preimage
-        point = _leftmost_period2_point(f, Interval(a, upper_preimage))
-        witness = PeriodTwoWitness(
-            lower=c,
-            upper=d,
-            first_fixed=first_fixed,
-            upper_preimage=upper_preimage,
-            point=point,
-            case=CrossingCase.NO_FIXED_POINT_LEFT,
-        )
-    else:
+    left_fixed = lower_preimage = None
+    if fixed_left:
         left_fixed = fixed_left[-1]
         lower_preimage = _leftmost_solution(f, c, Interval(left_fixed, c))
-        point = _leftmost_period2_point(
-            f, Interval(lower_preimage, upper_preimage)
-        )
-        witness = PeriodTwoWitness(
-            lower=c,
-            upper=d,
-            first_fixed=first_fixed,
-            upper_preimage=upper_preimage,
-            point=point,
-            case=CrossingCase.FIXED_POINT_LEFT,
-            left_fixed=left_fixed,
-            lower_preimage=lower_preimage,
-        )
+    # with no fixed point left of c, f fixes nothing in [a, upper_preimage],
+    # and f^2 crosses the diagonal between a and upper_preimage
+    start = a if lower_preimage is None else lower_preimage
+    witness = PeriodTwoWitness(
+        lower=c,
+        upper=d,
+        first_fixed=first_fixed,
+        upper_preimage=upper_preimage,
+        point=_leftmost_period2_point(f, Interval(start, upper_preimage)),
+        case=CrossingCase.FIXED_POINT_LEFT if fixed_left else CrossingCase.NO_FIXED_POINT_LEFT,
+        left_fixed=left_fixed,
+        lower_preimage=lower_preimage,
+    )
     p = witness.point
     if not (f(f(p)) == p and f(p) != p):
         raise CertificationFailed(f"{p} is not a point of least period 2")

@@ -17,6 +17,7 @@ from sharkovsky_lab.exact_pwl import is_orbit_of
 from sharkovsky_lab.serialize import (
     SCHEMA, format_rational, orbit_from_list, pwlmap_from_obj,
 )
+from sharkovsky_lab.sharkovsky_order import forced_periods_upto
 from sharkovsky_lab.tent_constructions import tent_map
 
 
@@ -45,6 +46,20 @@ class TestCompareAndForced:
     def test_forced(self, capsys):
         payload = invoke_json(capsys, "forced", "2", "--upto", "12")
         assert payload["periods"] == [1, 2]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--walk-budget", "100", "forced", "3", "--upto", "101"),
+            ("forced", "3", "--upto", "100000000000"),  # past the default 10^6
+        ],
+        ids=["small-budget", "default-budget"],
+    )
+    def test_forced_past_the_walk_budget_exits_three(self, argv, capsys):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 3 and not out
+        assert err.startswith("budget exceeded:") and len(err.splitlines()) == 1
+        assert invoke_json(capsys, "--walk-budget", "100", "forced", "3", "--upto", "100")
 
 
 class TestPattern:
@@ -194,6 +209,20 @@ class TestTent:
         assert lines[1] == "1,1,false"
         assert lines[2] == "2,1,false"
         assert lines[3] == "3,0,false"
+
+    def test_truncation_spectrum_reaches_period_300(self, capsys):
+        # the clamp's spectrum comes from its walk counts: the census would
+        # compose 299 iterates
+        code, out, err = invoke(
+            capsys, "tent", "truncate", "5", "--spectrum", "300", "--format", "csv"
+        )
+        assert code == 0, err
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [int(p) for p, _, _ in rows] == list(range(1, 301))
+        assert {int(p) for p, count, _ in rows if int(count)} == set(
+            forced_periods_upto(5, 300)
+        )
+        assert {c for _, _, c in rows} == {"false"}
 
     def test_chain(self, capsys):
         payload = invoke_json(capsys, "tent", "chain", "--levels", "1")
@@ -434,10 +463,10 @@ def pattern_slot(draw):
 def cli_argv(draw):
     """Argv for a random subcommand: valid slots, up to two of them malformed.
 
-    Budgets stay small and the paths that no budget bounds (forced --upto,
-    pattern stefan m, witness --period, the direct and walks spectra) get
-    small bounds.  Flags are never corrupted, so no query runs under the
-    default budgets.
+    Budgets stay small and the paths that no budget bounds (pattern
+    stefan m, witness --period, the direct and walks spectra) get small
+    bounds; forced --upto is bounded by the walk budget.  Flags are never
+    corrupted, so no query runs under the default budgets.
     """
     slots = [
         "--piece-budget", ints(1, 4096),
@@ -450,7 +479,7 @@ def cli_argv(draw):
     if command == "compare":
         slots += [word("compare"), ints(1, 10**30), ints(1, 10**30)]
     elif command == "forced":
-        slots += [word("forced"), ints(1, 40), "--upto", ints(1, 1000)]
+        slots += [word("forced"), ints(1, 40), "--upto", ints(1, 10**12)]
     elif command == "graph":
         slots += ["pattern", word("graph"), draw(pattern_slot())]
     elif command == "stefan":

@@ -25,6 +25,7 @@ from sharkovsky_lab import (
     PieceBudgetExceeded,
     PwlMap,
     SharkovskyLabError,
+    SpectrumEntry,
     connect_the_dots,
     divisors,
     fixed_points_of_iterate,
@@ -242,6 +243,12 @@ def result_or_error(fn, *args):
         return type(exc), str(exc)
 
 
+def reference_iterate(f, n, piece_budget=exact_pwl.DEFAULT_PIECE_BUDGET):
+    """f^n by the sequential chain f, f^2, ..., f^n, as iterate composed it before."""
+    *_, last = exact_pwl._iterates(f._pairs, f._pairs, n, piece_budget)
+    return PwlMap._of(last)
+
+
 def mobius(n):
     result = 1
     p = 2
@@ -338,18 +345,44 @@ class TestIterate:
         with pytest.raises(PieceBudgetExceeded):
             TENT.iterate(8, piece_budget=10)
 
-    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("k", [1, 2, 5, 14])
     def test_canonical_pass_runs_once_per_composition(self, monkeypatch, k):
         calls = []
-        original = exact_pwl._canonical
+        canonical, compose = exact_pwl._canonical, exact_pwl._compose
 
-        def counted(points):
-            calls.append(None)
-            return original(points)
+        def counted_canonical(points):
+            calls.append("canonical")
+            return canonical(points)
 
-        monkeypatch.setattr(exact_pwl, "_canonical", counted)
+        def counted_compose(*args):
+            calls.append("compose")
+            return compose(*args)
+
+        monkeypatch.setattr(exact_pwl, "_canonical", counted_canonical)
+        monkeypatch.setattr(exact_pwl, "_compose", counted_compose)
         assert len(TENT.iterate(k).breakpoints) == 2**k + 1
-        assert len(calls) == k - 1
+        # repeated squaring: floor(log2 k) squarings, popcount(k) - 1 products
+        compositions = k.bit_length() - 1 + bin(k).count("1") - 1
+        assert calls == ["compose", "canonical"] * compositions
+
+    def test_an_overrun_product_hands_over_to_the_chain(self, monkeypatch):
+        # f^2 o f^2 cuts at 1/4 and 1/2 of f^2 and at 5/16 and 3/8 of f^4:
+        # six cuts, where no iterate up to f^4 has more than four breakpoints
+        f = PwlMap([(0, 1), (F(1, 2), 0), (1, 0)])
+        with pytest.raises(PieceBudgetExceeded):
+            exact_pwl._compose(*[f.iterate(2)._pairs] * 2, 4)
+        chains, iterates = [], exact_pwl._iterates
+        monkeypatch.setattr(
+            exact_pwl, "_iterates", lambda *args: chains.append(args) or iterates(*args)
+        )
+        assert f.iterate(4, piece_budget=4) == reference_iterate(f, 4, 4)
+        assert len(chains) == 2  # the hand-over and the reference
+        assert f.iterate(4) == reference_iterate(f, 4) and len(chains) == 3
+
+    def test_squaring_matches_the_chain_on_the_tent_family(self):
+        for f in (TENT, THREE_CYCLE, _truncation(3), _truncation(6), NEG):
+            for n in range(1, 12):
+                assert f.iterate(n) == reference_iterate(f, n)
 
     def test_invalid_count(self):
         with pytest.raises(ValueError):
@@ -706,6 +739,17 @@ class TestIntegerKernel:
 
         got = chain(exact_pwl._iterates, f._pairs, fractions_of)
         assert got == chain(ref_iterates, f.breakpoints, tuple)
+
+    @settings(max_examples=200, deadline=None)
+    @given(general_maps(), st.integers(min_value=1, max_value=9), st.integers(2, 300))
+    def test_squaring_matches_the_sequential_chain(self, f, n, budget):
+        squared = result_or_error(f.iterate, n, budget)
+        chained = result_or_error(reference_iterate, f, n, budget)
+        if isinstance(squared, PwlMap):
+            assert chained == squared or chained[0] is PieceBudgetExceeded
+        else:
+            assert squared[0] is PieceBudgetExceeded
+            assert chained[0] is PieceBudgetExceeded  # squaring raises only where the chain does
 
     @settings(max_examples=150, deadline=None)
     @given(general_maps(), st.lists(st.fractions(0, 1, max_denominator=10**6), max_size=9))
@@ -1144,9 +1188,17 @@ class TestCensus:
 
         f = _truncation(3)
         monkeypatch.setattr(exact_pwl, "_compose", counted)
+        censuses = list(periodic_orbits_upto(f, 9))
+        assert len(censuses) == 9
+        assert len(calls) == 8
+
+        def refuse(*args):
+            raise AssertionError("a truncation's spectrum is read off its walk counts")
+
+        monkeypatch.setattr(exact_pwl, "_compose", refuse)
         entries = period_spectrum(f, 9)
         assert [e.period for e in entries] == list(range(1, 10))
-        assert len(calls) == 8
+        assert [e.orbit_count for e in entries] == [len(c.orbits) for c in censuses]
 
     def test_non_positive_bounds_are_rejected(self):
         for upto in (0, -3):
@@ -1199,6 +1251,97 @@ class TestCensus:
 
         monkeypatch.setattr(pattern_dynamics, "periodic_orbits_upto", refuse)
         assert realized_periods(CyclicPattern((2, 3, 1)), 5, "walks") == {1, 2, 3, 4, 5}
+
+
+def census_spectrum(f, upto):
+    """period_spectrum by the direct census alone."""
+    return [
+        SpectrumEntry(k, len(c.orbits), bool(c.continuum))
+        for k, c in enumerate(periodic_orbits_upto(f, upto), start=1)
+    ]
+
+
+@st.composite
+def clamped_patterns(draw):
+    """A connect-the-dots map, or its clamp at the hull of one of its orbits."""
+    m, seed = draw(st.integers(3, 5)), draw(st.integers(0, 10**6))
+    f = connect_the_dots(random_pattern(m, random.Random(seed)))
+    orbits = [o for c in periodic_orbits_upto(f, 4) for o in c.orbits]
+    if orbits and draw(st.booleans()):
+        orbit = draw(st.sampled_from(orbits))
+        f = f.clamp(orbit.minimum, orbit.maximum)
+    return f
+
+
+class TestMarkovSpectrum:
+    """period_spectrum from the walk counts of a Markov partition."""
+
+    @pytest.mark.parametrize("k", range(3, 13))
+    def test_truncations_match_the_census(self, k, monkeypatch):
+        f = _truncation(k)
+        expected = census_spectrum(f, 14)
+
+        def refuse(*args):
+            raise AssertionError("the walk counts compose nothing")
+
+        monkeypatch.setattr(exact_pwl, "_compose", refuse)
+        assert exact_pwl.markov_orbit_counts(f, 14) is not None
+        assert period_spectrum(f, 14) == expected
+
+    def test_the_full_tent_matches_the_census(self):
+        assert exact_pwl.markov_orbit_counts(TENT, 12) is not None
+        entries = period_spectrum(TENT, 12)
+        assert entries == census_spectrum(TENT, 12)
+        # 2^k points solve tent^k(x) = x; those of least period k make the orbits
+        assert [e.orbit_count for e in entries][:5] == [2, 1, 2, 3, 6]
+
+    @settings(max_examples=60, deadline=None)
+    @given(clamped_patterns(), st.integers(1, 7))
+    def test_clamped_patterns_match_the_census(self, f, upto):
+        assert period_spectrum(f, upto) == census_spectrum(f, upto)
+
+    def test_clamped_patterns_take_both_routes(self):
+        rng, routes = random.Random(3), set()
+        for _ in range(40):
+            f = connect_the_dots(random_pattern(rng.randint(3, 6), rng))
+            orbit = rng.choice([o for c in periodic_orbits_upto(f, 3) for o in c.orbits])
+            g = f.clamp(orbit.minimum, orbit.maximum)
+            for h in (f, g):
+                routes.add(exact_pwl.markov_orbit_counts(h, 6) is not None)
+                assert period_spectrum(h, 6) == census_spectrum(h, 6)
+        assert routes == {True, False}
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            connect_the_dots(CyclicPattern((2, 3, 1))),  # a lap of slope 1
+            NEG,  # slope -1: the continuum of period 2
+            # slopes 3/2 and -3/2: the breakpoints' orbits never close
+            PwlMap([(0, 0), (F(2, 3), 1), (1, F(1, 2))]),
+        ],
+        ids=["slope-one", "slope-minus-one", "no-closure"],
+    )
+    def test_other_maps_take_the_census(self, f):
+        assert exact_pwl.markov_orbit_counts(f, 6) is None
+        assert period_spectrum(f, 6) == census_spectrum(f, 6)
+
+    def test_the_partition_is_budgeted(self):
+        f = PwlMap([(0, 0), (F(2, 3), 1), (1, F(1, 2))])
+        with pytest.raises(PieceBudgetExceeded):
+            exact_pwl.markov_partition(f, piece_budget=50)
+        # the truncation's plateau [3/7, 4/7] at 6/7 is node 4, a zero row
+        graph = exact_pwl.markov_partition(_truncation(3))
+        assert graph.node_count == 6 and graph.successors(4) == []
+
+    def test_walk_counts_accept_zero_rows(self):
+        graph = exact_pwl.MarkovGraph(3, frozenset({(1, 1), (1, 2), (2, 1)}))
+        assert exact_pwl.primitive_walk_counts(graph, 4) == [0, 1, 2, 3, 4]
+
+    def test_counts_past_the_walk_budget_take_the_census(self, monkeypatch):
+        f = _truncation(3)
+        monkeypatch.setattr(exact_pwl, "DEFAULT_WALK_BUDGET", 60)
+        assert exact_pwl.markov_orbit_counts(f, 9) is None
+        assert period_spectrum(f, 9) == census_spectrum(f, 9)
 
 
 def reference_minimal_diameter_orbit(f, k, within=None):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sharkovsky_lab import pattern_dynamics
+from sharkovsky_lab import exact_pwl, pattern_dynamics
 from sharkovsky_lab import (
     CertificationFailed,
     CyclicPattern,
@@ -135,6 +135,14 @@ class TestMarkovGraph:
                 for j in range(1, m):
                     K = Interval(xs[j - 1], xs[j])
                     assert graph.has_edge(i, j) == f.covers(J, K)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+    def test_rank_graph_is_the_markov_partition_exhaustively(self, m):
+        # the pattern's orbit is the closure of the breakpoints, so the two
+        # builders meet; markov_graph reads the edges off the ranks
+        for pattern in all_patterns(m):
+            graph = exact_pwl.markov_partition(connect_the_dots(pattern))
+            assert graph == markov_graph(pattern), pattern
 
     def test_dot_output(self):
         dot = markov_graph(THREE_CYCLE).to_dot()
@@ -282,7 +290,7 @@ class TestRealizedPeriods:
     )
     def test_primitive_walk_counts_match_the_enumeration(self, pattern):
         graph = markov_graph(pattern)
-        prim = pattern_dynamics._primitive_walk_counts(graph, 8)
+        prim = exact_pwl.primitive_walk_counts(graph, 8)
         for k in range(1, 9):
             walks = list(iter_closed_walks(graph, k))
             primitive = [w for w in walks if len(_rotations(w)) == k]
@@ -291,7 +299,7 @@ class TestRealizedPeriods:
 
     def test_matrix_takes_the_swap_from_its_size(self):
         # the swap's one node reverses onto itself: no primitive walk of length 2
-        assert pattern_dynamics._primitive_walk_counts(markov_graph(SWAP), 4) == [0, 1, 0, 0, 0]
+        assert exact_pwl.primitive_walk_counts(markov_graph(SWAP), 4) == [0, 1, 0, 0, 0]
         assert realized_periods(SWAP, 4, method="auto") == {1, 2}
 
     def test_matrix_answers_far_beyond_the_budgets(self):
@@ -303,7 +311,7 @@ class TestRealizedPeriods:
         # a matrix route that saw no walk at all: only the pattern's own period
         monkeypatch.setattr(
             pattern_dynamics,
-            "_primitive_walk_counts",
+            "primitive_walk_counts",
             lambda graph, upto, walk_budget: [0] * (upto + 1),
         )
         assert realized_periods(THREE_CYCLE, 4, method="auto") == {3}
