@@ -72,9 +72,14 @@ def _cmd_compare(args) -> None:
     _emit_json({"m": args.m, "n": args.n, "order": order.value})
 
 
+def _require_listable(count: int, walk_budget: int, items: str) -> None:
+    """WalkBudgetExceeded past the walk budget: one item listed per unit."""
+    if count > walk_budget:
+        raise WalkBudgetExceeded(f"more than {walk_budget} {items} to list")
+
+
 def _cmd_forced(args) -> None:
-    if args.upto > args.walk_budget:  # one period listed per unit
-        raise WalkBudgetExceeded(f"more than {args.walk_budget} periods to list")
+    _require_listable(args.upto, args.walk_budget, "periods")
     _emit_json(
         {
             "m": args.m,
@@ -99,6 +104,7 @@ def _cmd_pattern(args) -> None:
                 }
             )
     else:  # stefan
+        _require_listable(args.m, args.walk_budget, "points")
         pattern = patterns.stefan_pattern(args.m)
         _emit_json(
             {
@@ -175,7 +181,10 @@ def _cmd_tent(args) -> None:
     elif args.action == "truncate":
         truncated = tent.truncate_at_orbit(base, orbit)
         entries = tent.period_spectrum(
-            truncated.map, args.spectrum, piece_budget=args.piece_budget
+            truncated.map,
+            args.spectrum,
+            piece_budget=args.piece_budget,
+            walk_budget=args.walk_budget,
         )
         if args.format == "csv":
             print(SPECTRUM_CSV_COLUMNS)
@@ -248,8 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         help="cap on enumerated closed walks, on the walk-count "
-        "additions of spectrum's default route, and on the periods "
-        "'forced --upto' lists (env SHARKOVSKY_WALK_BUDGET)",
+        "additions of spectrum's default route and of truncation "
+        "spectra, and on the periods 'forced --upto' and the points "
+        "'pattern stefan' lists (env SHARKOVSKY_WALK_BUDGET)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -352,3 +362,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -377,6 +377,14 @@ def _compose(outer: Pairs, inner: Pairs, piece_budget: int) -> Pairs:
     the order the lap meets them, and the cut takes that breakpoint's y.
     A breakpoint of inner whose value is a breakpoint x of outer takes
     that breakpoint's y too; only other values are located and evaluated.
+
+    PieceBudgetExceeded comes exactly when the canonical result has more
+    than piece_budget breakpoints.  _canonical only appends a point or
+    replaces the last one, so a prefix of the cuts never keeps more points
+    than the whole list, and continuing from its canonical form gives the
+    same result.  So past each limit, piece_budget + 1 cuts after the last
+    compaction, the cuts are compacted in place, raising once the kept
+    points pass the budget.
     """
 
     def place(y: Q) -> tuple[int, int, Q]:
@@ -404,15 +412,17 @@ def _compose(outer: Pairs, inner: Pairs, piece_budget: int) -> Pairs:
             raw.append((*_crossing(p0, p1, b[:2]), b[2], b[3]))
         raw.append(p1[:2] + v1)
         if len(raw) > limit:
-            raise PieceBudgetExceeded(
-                f"composition needs more than {piece_budget} breakpoints"
-            )
+            raw[:] = _within_budget(raw, piece_budget)
+            limit = len(raw) + piece_budget + 1
         p0, y0, i0, below0 = p1, y1, i1, below1
-    out = _canonical(raw)
+    return _within_budget(raw, piece_budget)
+
+
+def _within_budget(points: list[Breakpoint], piece_budget: int) -> Pairs:
+    """_canonical(points), or PieceBudgetExceeded past piece_budget breakpoints."""
+    out = _canonical(points)
     if len(out) > piece_budget:
-        raise PieceBudgetExceeded(
-            f"composition needs more than {piece_budget} breakpoints"
-        )
+        raise PieceBudgetExceeded(f"composition needs more than {piece_budget} breakpoints")
     return out
 
 
@@ -661,23 +671,19 @@ class PwlMap:
 
         floor(log2 n) + popcount(n) - 1 compositions where the chain f, f^2,
         ..., f^n takes n - 1: 5 and 16,729 breakpoints against 13 and 32,777
-        for tent^14.  A product cuts at its inner factor's breakpoints and
-        its result's, more than any iterate holds once a flat lap erased
-        some, so an overrun of ``piece_budget`` hands over to the chain:
-        :class:`PieceBudgetExceeded` comes only where the chain raises.  It
-        may answer where the chain raises at an iterate it skips.
+        for tent^14.  Each power and product is an iterate f^j with j <= n,
+        which the chain builds too, and a composition raises exactly when
+        its canonical result passes ``piece_budget``: so
+        :class:`PieceBudgetExceeded` comes only where the chain raises.
         """
         if n < 1:
             raise ValueError("iteration count must be >= 1")
         power, result = self._pairs, None
-        try:
-            for i, bit in enumerate(bin(n)[:1:-1]):  # the low bit first
-                if i:
-                    power = _compose(power, power, piece_budget)
-                if bit == "1":
-                    result = power if result is None else _compose(power, result, piece_budget)
-        except PieceBudgetExceeded:
-            result = _last(_iterates(self._pairs, self._pairs, n, piece_budget))
+        for i, bit in enumerate(bin(n)[:1:-1]):  # the low bit first
+            if i:
+                power = _compose(power, power, piece_budget)
+            if bit == "1":
+                result = power if result is None else _compose(power, result, piece_budget)
         return PwlMap._of(result)
 
     def image(self, J: Interval) -> Interval:
@@ -1123,14 +1129,20 @@ def primitive_walk_counts(
 
 
 def markov_orbit_counts(
-    f: PwlMap, upto: int, piece_budget: int = DEFAULT_PIECE_BUDGET
+    f: PwlMap,
+    upto: int,
+    piece_budget: int = DEFAULT_PIECE_BUDGET,
+    walk_budget: int = DEFAULT_WALK_BUDGET,
 ) -> Optional[list[int]]:
     """[0, n(1), ..., n(upto)]: n(k) orbits of least period k, from walk counts.
 
-    None unless each lap is flat or steeper than slope 1 in absolute value
-    and S (see :func:`markov_partition`) and the primitive walk counts p(k)
-    fit the piece and the default walk budget; then no iterate has an
-    identity lap.  f^k maps the points following a closed walk of length k
+    None when a nonflat lap has slope at most 1 in absolute value, or when
+    S (see :func:`markov_partition`) does not close within piece_budget
+    points, nor within upto times f's breakpoint count, past which f is
+    taken for a map that is not Markov.  The counts p(k) run under
+    walk_budget and raise WalkBudgetExceeded past it.  Otherwise every
+    lap is flat or steeper than slope 1, so no iterate has an identity
+    lap, and f^k maps the points following a closed walk of length k
     affinely, expanding, onto its first node, which holds them: one is
     fixed, the only one following the walk forever.  So a periodic point
     whose orbit misses S follows one walk, primitive exactly when its least
@@ -1147,14 +1159,11 @@ def markov_orbit_counts(
     """
     if any(0 < abs(p) <= d for p, _, d in (_lap_form(*lap) for lap in _laps(f._pairs))):
         return None
-    # past cap points the counts overrun the walk budget (a unit per node and
-    # length), or S outgrows the upto - 1 compositions of the census
-    cap = min(piece_budget, upto * len(f._pairs), DEFAULT_WALK_BUDGET // upto + 1)
     try:
-        image, graph = _partition(f._pairs, cap)
-        points = primitive_walk_counts(graph, upto, DEFAULT_WALK_BUDGET)
-    except (PieceBudgetExceeded, WalkBudgetExceeded):
+        image, graph = _partition(f._pairs, min(piece_budget, upto * len(f._pairs)))
+    except PieceBudgetExceeded:
         return None
+    points = primitive_walk_counts(graph, upto, walk_budget)
 
     periodic, on_s = set(range(len(image))), Counter()
     while (moved := {image[i] for i in periodic}) != periodic:

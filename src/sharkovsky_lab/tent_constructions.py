@@ -17,6 +17,7 @@ from typing import Optional
 from .errors import CertificationFailed, NoSuchOrbit, NotAnOrbit
 from .exact_pwl import (
     DEFAULT_PIECE_BUDGET,
+    DEFAULT_WALK_BUDGET,
     Interval,
     Orbit,
     PwlMap,
@@ -105,18 +106,23 @@ class SpectrumEntry:
 
 
 def period_spectrum(
-    f: PwlMap, upto: int, piece_budget: int = DEFAULT_PIECE_BUDGET
+    f: PwlMap,
+    upto: int,
+    piece_budget: int = DEFAULT_PIECE_BUDGET,
+    walk_budget: int = DEFAULT_WALK_BUDGET,
 ) -> list[SpectrumEntry]:
     """Exact least-period orbit counts for every period up to the bound.
 
     ``continuum`` flags periods whose points fill whole intervals (identity
     laps of the iterate); the count then covers the isolated orbits only.
-    Tent truncations and other expanding Markov maps are counted from walks
+    The map alone picks the route: tent truncations and other expanding
+    Markov maps are counted from walks under walk_budget
     (:func:`markov_orbit_counts`), others censused with each iterate
-    composed once (:func:`periodic_orbits_upto`).
+    composed once under piece_budget (:func:`periodic_orbits_upto`).
+    Either budget's overrun raises; the other route is not tried.
     """
     censuses = periodic_orbits_upto(f, upto, piece_budget)  # checks upto, lazily
-    counts = markov_orbit_counts(f, upto, piece_budget)
+    counts = markov_orbit_counts(f, upto, piece_budget, walk_budget)
     if counts is not None:
         return [SpectrumEntry(k, counts[k], False) for k in range(1, upto + 1)]
     return [

@@ -3,14 +3,16 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sharkovsky_lab import cli, witnesses
+from sharkovsky_lab import cli, exact_pwl, tent_constructions, witnesses
 from sharkovsky_lab import pattern_dynamics as patterns
 from sharkovsky_lab.cli import run
 from sharkovsky_lab.exact_pwl import is_orbit_of
@@ -81,6 +83,24 @@ class TestPattern:
     def test_stefan(self, capsys):
         payload = invoke_json(capsys, "pattern", "stefan", "5")
         assert payload["one_line"] == [3, 5, 4, 2, 1]
+
+    def test_listing_past_the_walk_budget_exits_three(self, capsys, monkeypatch):
+        # one item listed per unit of the walk budget, checked before any is built
+        assert len(invoke_json(capsys, "--walk-budget", "10", "pattern", "stefan", "9")
+                   ["one_line"]) == 9
+
+        def refuse(*args):
+            raise AssertionError("nothing is built past the walk budget")
+
+        monkeypatch.setattr(patterns, "stefan_pattern", refuse)
+        monkeypatch.setattr(cli, "forced_periods_upto", refuse)
+        for argv, items in (
+            (("pattern", "stefan", "11"), "points"),
+            (("forced", "3", "--upto", "11"), "periods"),
+        ):
+            code, out, err = invoke(capsys, "--walk-budget", "10", *argv)
+            assert code == 3 and not out
+            assert err == f"budget exceeded: more than 10 {items} to list\n"
 
 
 class TestWitness:
@@ -223,6 +243,35 @@ class TestTent:
             forced_periods_upto(5, 300)
         )
         assert {c for _, _, c in rows} == {"false"}
+
+    def test_truncation_spectrum_past_the_walk_budget_runs_no_census(
+        self, capsys, monkeypatch
+    ):
+        def refuse(*args):
+            raise AssertionError("the walk counts' overrun runs no census")
+            yield
+
+        monkeypatch.setattr(tent_constructions, "periodic_orbits_upto", refuse)
+        argv = ("tent", "truncate", "3", "--spectrum", "2019", "--format", "csv")
+        code, out, err = invoke(capsys, *argv)
+        assert code == 3 and not out
+        assert len(err.splitlines()) == 1 and "walk-count additions" in err
+        # the flag reaches the walk counts: P3 forces every period
+        code, out, err = invoke(capsys, "--walk-budget", "10000000", *argv)
+        assert code == 0, err
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [int(p) for p, _, _ in rows] == list(range(1, 2020))
+        assert all(int(count) > 0 for _, count, _ in rows)
+
+    def test_pk_overrun_runs_no_chain(self, capsys, monkeypatch):
+        # tent^21 has 2^21 + 1 breakpoints, over the default piece budget
+        def refuse(*args):
+            raise AssertionError("iterate squares and runs no chain")
+
+        monkeypatch.setattr(exact_pwl, "_iterates", refuse)
+        code, out, err = invoke(capsys, "tent", "pk", "21")
+        assert code == 3 and not out
+        assert err == "budget exceeded: composition needs more than 1048576 breakpoints\n"
 
     def test_chain(self, capsys):
         payload = invoke_json(capsys, "tent", "chain", "--levels", "1")
@@ -421,6 +470,17 @@ class TestConsoleScript:
         assert exc.value.code == code
         capsys.readouterr()
 
+    @pytest.mark.parametrize("module", ["sharkovsky_lab", "sharkovsky_lab.cli"])
+    def test_python_m_runs_the_cli(self, module, capsys):
+        _, expected, _ = invoke(capsys, "compare", "3", "5")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-m", module, "compare", "3", "5"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
+
 
 # ---------------------------------------------------------------------------
 # the whole grammar: every argv ends in a clean answer or a one-line error
@@ -463,10 +523,10 @@ def pattern_slot(draw):
 def cli_argv(draw):
     """Argv for a random subcommand: valid slots, up to two of them malformed.
 
-    Budgets stay small and the paths that no budget bounds (pattern
-    stefan m, witness --period, the direct and walks spectra) get small
-    bounds; forced --upto is bounded by the walk budget.  Flags are never
-    corrupted, so no query runs under the default budgets.
+    Budgets stay small and the paths that no budget bounds (witness
+    --period, the direct and walks spectra) get small bounds; forced
+    --upto and pattern stefan m are bounded by the walk budget.  Flags
+    are never corrupted, so no query runs under the default budgets.
     """
     slots = [
         "--piece-budget", ints(1, 4096),

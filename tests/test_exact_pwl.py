@@ -26,6 +26,7 @@ from sharkovsky_lab import (
     PwlMap,
     SharkovskyLabError,
     SpectrumEntry,
+    WalkBudgetExceeded,
     connect_the_dots,
     divisors,
     fixed_points_of_iterate,
@@ -42,7 +43,7 @@ from sharkovsky_lab import (
     tent_map,
     truncate_at_orbit,
 )
-from sharkovsky_lab import exact_pwl, pattern_dynamics
+from sharkovsky_lab import exact_pwl, pattern_dynamics, tent_constructions
 from sharkovsky_lab.exact_pwl import fixed_structure_on, level_set_on
 
 TENT = tent_map()
@@ -121,10 +122,6 @@ def ref_compose(outer, inner, piece_budget):
             ]
             lap_cuts.sort()
             cuts.extend(lap_cuts)
-        if len(cuts) > piece_budget:
-            raise PieceBudgetExceeded(
-                f"composition needs more than {piece_budget} breakpoints"
-            )
     cuts.append(inner[-1][0])
 
     result = []
@@ -365,19 +362,19 @@ class TestIterate:
         compositions = k.bit_length() - 1 + bin(k).count("1") - 1
         assert calls == ["compose", "canonical"] * compositions
 
-    def test_an_overrun_product_hands_over_to_the_chain(self, monkeypatch):
+    def test_an_overrun_of_the_cuts_alone_answers_by_squaring(self, monkeypatch):
         # f^2 o f^2 cuts at 1/4 and 1/2 of f^2 and at 5/16 and 3/8 of f^4:
         # six cuts, where no iterate up to f^4 has more than four breakpoints
         f = PwlMap([(0, 1), (F(1, 2), 0), (1, 0)])
-        with pytest.raises(PieceBudgetExceeded):
-            exact_pwl._compose(*[f.iterate(2)._pairs] * 2, 4)
-        chains, iterates = [], exact_pwl._iterates
-        monkeypatch.setattr(
-            exact_pwl, "_iterates", lambda *args: chains.append(args) or iterates(*args)
-        )
-        assert f.iterate(4, piece_budget=4) == reference_iterate(f, 4, 4)
-        assert len(chains) == 2  # the hand-over and the reference
-        assert f.iterate(4) == reference_iterate(f, 4) and len(chains) == 3
+        expected = reference_iterate(f, 4)
+        square = exact_pwl._compose(*[f.iterate(2)._pairs] * 2, 4)
+        assert PwlMap._of(square) == expected
+
+        def refuse(*args):
+            raise AssertionError("iterate squares and runs no chain")
+
+        monkeypatch.setattr(exact_pwl, "_iterates", refuse)
+        assert f.iterate(4, piece_budget=4) == expected
 
     def test_squaring_matches_the_chain_on_the_tent_family(self):
         for f in (TENT, THREE_CYCLE, _truncation(3), _truncation(6), NEG):
@@ -724,6 +721,22 @@ class TestIntegerKernel:
         if not isinstance(got, tuple) or got[0] is not PieceBudgetExceeded:
             got = fractions_of(got)
         assert got == result_or_error(ref_compose, f.breakpoints, g.breakpoints, budget)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_compose_raises_exactly_past_the_budget(self, data):
+        f = data.draw(general_maps())
+        g = data.draw(general_maps(domain=(f.domain.lo, f.domain.hi)))
+        full = exact_pwl._compose(f._pairs, g._pairs, 2**20)
+        # half the budgets sit within two of the result, where the cuts'
+        # count and the result's part
+        near = st.integers(-2, 2).map(lambda d: min(40, max(2, len(full) + d)))
+        budget = data.draw(st.integers(2, 40) | near)
+        if len(full) > budget:
+            with pytest.raises(PieceBudgetExceeded):
+                exact_pwl._compose(f._pairs, g._pairs, budget)
+        else:
+            assert exact_pwl._compose(f._pairs, g._pairs, budget) == full
 
     @settings(max_examples=150, deadline=None)
     @given(general_maps(), st.integers(min_value=1, max_value=4), st.integers(2, 200))
@@ -1337,11 +1350,19 @@ class TestMarkovSpectrum:
         graph = exact_pwl.MarkovGraph(3, frozenset({(1, 1), (1, 2), (2, 1)}))
         assert exact_pwl.primitive_walk_counts(graph, 4) == [0, 1, 2, 3, 4]
 
-    def test_counts_past_the_walk_budget_take_the_census(self, monkeypatch):
+    def test_counts_past_the_walk_budget_raise(self, monkeypatch):
         f = _truncation(3)
-        monkeypatch.setattr(exact_pwl, "DEFAULT_WALK_BUDGET", 60)
-        assert exact_pwl.markov_orbit_counts(f, 9) is None
-        assert period_spectrum(f, 9) == census_spectrum(f, 9)
+
+        def refuse(*args):
+            raise AssertionError("an overrun of the walk counts runs no census")
+            yield
+
+        monkeypatch.setattr(tent_constructions, "periodic_orbits_upto", refuse)
+        with pytest.raises(WalkBudgetExceeded):
+            exact_pwl.markov_orbit_counts(f, 9, walk_budget=60)
+        with pytest.raises(WalkBudgetExceeded):
+            period_spectrum(f, 9, walk_budget=60)
+        assert exact_pwl.markov_orbit_counts(f, 9) is not None  # the default budget
 
 
 def reference_minimal_diameter_orbit(f, k, within=None):
