@@ -5,7 +5,9 @@ produce byte-identical output.  JSON objects carry a top-level
 ``"schema": "sharkovsky-lab/1"`` and all rationals appear as "p/q"
 strings.  Exit codes: 0 on success, 2 on usage or precondition errors,
 3 when an exact enumeration exceeds its budget (the message names the
-budget).  A failure writes one line to stderr and nothing to stdout.
+budget).  A failure writes one line to stderr and nothing to stdout.  The
+console script exits 1, writing nothing to stderr, when stdout closes early
+(``sharkovsky forced 3 --upto 500000 | head``).
 
 Budgets come from ``--piece-budget`` / ``--walk-budget``, with environment
 overrides SHARKOVSKY_PIECE_BUDGET and SHARKOVSKY_WALK_BUDGET.  Either way a
@@ -361,7 +363,15 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader went away: point stdout at devnull so the flush at exit
+        # cannot raise again, and exit 1 without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -371,20 +371,23 @@ def _check_values(pairs: Pairs, f: Pairs) -> None:
 
 
 def _compose(outer: Pairs, inner: Pairs, piece_budget: int) -> Pairs:
-    """Breakpoints of x -> outer(inner(x)); inner values must lie in outer's domain.
+    """Canonical breakpoints of x -> outer(inner(x)), in one pass.
 
-    Each lap of inner is cut where it crosses a breakpoint x of outer, in
-    the order the lap meets them, and the cut takes that breakpoint's y.
+    inner's values must lie in outer's domain.  Each lap of inner is cut
+    where it crosses a breakpoint x of outer, in the order the lap meets
+    them, and the cut takes that breakpoint's y; the cut's x comes from
+    the lap's inverse y -> (a y + b) / c, formed once per crossing lap.
     A breakpoint of inner whose value is a breakpoint x of outer takes
     that breakpoint's y too; only other values are located and evaluated.
 
-    PieceBudgetExceeded comes exactly when the canonical result has more
-    than piece_budget breakpoints.  _canonical only appends a point or
-    replaces the last one, so a prefix of the cuts never keeps more points
-    than the whole list, and continuing from its canonical form gives the
-    same result.  So past each limit, piece_budget + 1 cuts after the last
-    compaction, the cuts are compacted in place, raising once the kept
-    points pass the budget.
+    The points come in increasing x, and a cut is never collinear with its
+    neighbours: the two outer laps meeting there have different slopes,
+    outer being canonical, and the inner lap crosses strictly, so its slope
+    is not 0.  So only the image of an inner breakpoint is tested, against
+    the carried slope of the last kept segment, as in _canonical.  The kept
+    list only grows or replaces its last point, so PieceBudgetExceeded as
+    soon as it holds more than piece_budget points is exactly "the
+    canonical result has more than piece_budget breakpoints".
     """
 
     def place(y: Q) -> tuple[int, int, Q]:
@@ -393,37 +396,50 @@ def _compose(outer: Pairs, inner: Pairs, piece_budget: int) -> Pairs:
         return i, i, _value_at(outer, i, *y)
 
     known = {b[:2]: (j + 1, j, b[2:]) for j, b in enumerate(outer)}
-    limit = piece_budget + 1
     laps = iter(inner)
-    p0 = next(laps)
-    y0 = p0[2:]
-    i0, below0, v0 = known.get(y0) or place(y0)
-    raw = [p0[:2] + v0]
-    for p1 in laps:
-        y1 = p1[2:]
-        i1, below1, v1 = known.get(y1) or place(y1)
+    x0n, x0d, y0n, y0d = next(laps)
+    i0, below0, v0 = known.get((y0n, y0d)) or place((y0n, y0d))
+    out = [(x0n, x0d, *v0)]
+    loose = False  # out[-1] is a kept inner breakpoint's image, which may go
+    sn = sd = 0  # slope sn / sd of the last kept segment, while loose
+    for x1n, x1d, y1n, y1d in laps:
+        i1, below1, v1 = known.get((y1n, y1d)) or place((y1n, y1d))
         # outer breakpoints strictly between y0 and y1, in the lap's direction
-        if y1[0] * y0[1] > y0[0] * y1[1]:
-            crossed = range(i0, below1)
+        dy = y1n * y0d - y0n * y1d
+        crossed = outer[i0:below1] if dy > 0 else outer[i1:below0][::-1]
+        if crossed:
+            # x = (a y + b) / c on the lap, c > 0
+            a = (x1n * x0d - x0n * x1d) * y0d * y1d
+            b = x0n * x1d * y1n * y0d - x1n * x0d * y0n * y1d
+            c = dy * x0d * x1d
+            if c < 0:
+                a, b, c = -a, -b, -c
+            cuts = []
+            for bn, bd, vn, vd in crossed:
+                num, den = a * bn + b * bd, c * bd
+                g = gcd(num, den)
+                cuts.append((num // g, den // g, vn, vd))
+            if loose:
+                qn, qd, rn, rd = out[-1]
+                xn, xd, yn, yd = cuts[0]
+                if (yn * rd - rn * yd) * xd * qd * sd == sn * (xn * qd - qn * xd) * yd * rd:
+                    out.pop()
+            out += cuts
+            loose = False
+        qn, qd, rn, rd = out[-1]
+        yn, yd = v1
+        tn, td = (yn * rd - rn * yd) * x1d * qd, (x1n * qd - qn * x1d) * yd * rd
+        if loose and tn * sd == sn * td:
+            out[-1] = (x1n, x1d, yn, yd)
         else:
-            crossed = range(below0 - 1, i1 - 1, -1)
-        for j in crossed:
-            b = outer[j]
-            raw.append((*_crossing(p0, p1, b[:2]), b[2], b[3]))
-        raw.append(p1[:2] + v1)
-        if len(raw) > limit:
-            raw[:] = _within_budget(raw, piece_budget)
-            limit = len(raw) + piece_budget + 1
-        p0, y0, i0, below0 = p1, y1, i1, below1
-    return _within_budget(raw, piece_budget)
-
-
-def _within_budget(points: list[Breakpoint], piece_budget: int) -> Pairs:
-    """_canonical(points), or PieceBudgetExceeded past piece_budget breakpoints."""
-    out = _canonical(points)
-    if len(out) > piece_budget:
-        raise PieceBudgetExceeded(f"composition needs more than {piece_budget} breakpoints")
-    return out
+            out.append((x1n, x1d, yn, yd))
+            sn, sd, loose = tn, td, True
+            if len(out) > piece_budget:
+                raise PieceBudgetExceeded(
+                    f"composition needs more than {piece_budget} breakpoints"
+                )
+        x0n, x0d, y0n, y0d, i0, below0 = x1n, x1d, y1n, y1d, i1, below1
+    return tuple(out)
 
 
 def _iterates(f: Pairs, first: Pairs, upto: int, piece_budget: int) -> Iterator[Pairs]:
@@ -481,18 +497,22 @@ def _fixed_structure(pairs: Pairs) -> Structure:
     points: list[Q] = []
     identity: list[tuple[Q, Q]] = []
     (x0n, x0d, y0n, y0d), rest = pairs[0], islice(pairs, 1, None)
-    g0n, g0d = y0n * x0d - x0n * y0d, y0d * x0d  # f(x0) - x0
+    g0 = y0n * x0d - x0n * y0d  # f(x0) - x0 = g0 / (y0d x0d)
     for x1n, x1d, y1n, y1d in rest:
-        g1n, g1d = y1n * x1d - x1n * y1d, y1d * x1d
-        if g0n == 0:
+        g1 = y1n * x1d - x1n * y1d
+        if g0 == 0:
             points.append((x0n, x0d))
-            if g1n == 0:
+            if g1 == 0:
                 identity.append(((x0n, x0d), (x1n, x1d)))
-        elif g1n != 0 and (g0n < 0) != (g1n < 0):
-            # the zero of f(x) - x, which runs from g0 at x0 to g1 at x1
-            points.append(_lerp(g0n, g0d, x0n, x0d, g1n, g1d, x1n, x1d, 0, 1))
-        x0n, x0d, g0n, g0d = x1n, x1d, g1n, g1d
-    if g0n == 0:
+        elif g1 != 0 and (g0 < 0) != (g1 < 0):
+            # f(x) - x runs affinely from b / w at x0 to a / w at x1 (w > 0),
+            # so it vanishes at (x0 a - x1 b) / (a - b)
+            a, b = g1 * y0d * x0d, g0 * y1d * x1d
+            num, den = x0n * x1d * a - x1n * x0d * b, x0d * x1d * (a - b)
+            g = gcd(num, den)
+            points.append((num // g, den // g) if den > 0 else (-num // g, -den // g))
+        x0n, x0d, y0d, g0 = x1n, x1d, y1d, g1
+    if g0 == 0:
         points.append((x0n, x0d))
     return points, identity
 
@@ -671,10 +691,11 @@ class PwlMap:
 
         floor(log2 n) + popcount(n) - 1 compositions where the chain f, f^2,
         ..., f^n takes n - 1: 5 and 16,729 breakpoints against 13 and 32,777
-        for tent^14.  Each power and product is an iterate f^j with j <= n,
-        which the chain builds too, and a composition raises exactly when
-        its canonical result passes ``piece_budget``: so
-        :class:`PieceBudgetExceeded` comes only where the chain raises.
+        for tent^14.  Each composition is one pass that keeps its result
+        canonical as it cuts, and raises exactly when that result passes
+        ``piece_budget``.  Each power and product is an iterate f^j with
+        j <= n, which the chain builds too: so :class:`PieceBudgetExceeded`
+        comes only where the chain raises.
         """
         if n < 1:
             raise ValueError("iteration count must be >= 1")
@@ -1099,7 +1120,9 @@ def primitive_walk_counts(
     A^(k-1) at i's successors, or zero without any: the powers take
     additions only.  Each length spends one unit of walk_budget per
     addition, entries and divisor terms alike, and per 64-bit word of the
-    largest entry, so the budget bounds the counts' time and size.
+    largest entry, so the budget bounds the counts' time and size.  Once
+    A^k = 0, A is nilpotent: every trace so far was 0 and every later one
+    is, so the remaining counts are 0 and spend nothing.
     """
     succ = graph._successors
     nodes = range(1, graph.node_count + 1)
@@ -1120,6 +1143,8 @@ def primitive_walk_counts(
         power = [
             [sum(c) for c in zip(*(power[j - 1] for j in succ[i]))] or zero for i in nodes
         ]
+        if not any(map(any, power)):
+            return prim + [0] * (upto + 1 - k)
         trace = sum(row[i] for i, row in enumerate(power))
         prim.append(trace - sum(prim[d] for d in shorter))
         for d in (*shorter, k):

@@ -263,6 +263,22 @@ class TestTent:
         assert [int(p) for p, _, _ in rows] == list(range(1, 2020))
         assert all(int(count) > 0 for _, count, _ in rows)
 
+    def test_vanishing_walk_counts_spend_no_budget(self, capsys, monkeypatch):
+        # the clamp at P1 is the constant map 0: one node and no edges, so
+        # A = 0 and every count is 0; the census never runs
+        def refuse(*args):
+            raise AssertionError("the walk counts answer without a census")
+            yield
+
+        monkeypatch.setattr(tent_constructions, "periodic_orbits_upto", refuse)
+        code, out, err = invoke(
+            capsys, "tent", "truncate", "1", "--spectrum", "100000", "--format", "csv"
+        )
+        assert code == 0, err
+        rows = out.splitlines()[1:]
+        assert len(rows) == 100000 and rows[-1] == "100000,0,false"
+        assert rows[0] == "1,1,false" and {r.split(",", 1)[1] for r in rows[1:]} == {"0,false"}
+
     def test_pk_overrun_runs_no_chain(self, capsys, monkeypatch):
         # tent^21 has 2^21 + 1 breakpoints, over the default piece budget
         def refuse(*args):
@@ -480,6 +496,20 @@ class TestConsoleScript:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
+
+    def test_closed_stdout_exits_one_without_a_traceback(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        with subprocess.Popen(
+            [sys.executable, "-m", "sharkovsky_lab", "forced", "3", "--upto", "500000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+        ) as proc:
+            assert len(proc.stdout.read(40)) == 40
+            proc.stdout.close()  # the reader goes away before the listing is written
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert (code, err) == (1, b"")
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,25 @@ def reference_iterate(f, n, piece_budget=exact_pwl.DEFAULT_PIECE_BUDGET):
     return PwlMap._of(last)
 
 
+def lerp_fixed_structure(pairs):
+    """_fixed_structure as it solved each root through _lerp before."""
+    points, identity = [], []
+    (x0n, x0d, y0n, y0d), rest = pairs[0], pairs[1:]
+    g0n, g0d = y0n * x0d - x0n * y0d, y0d * x0d  # f(x0) - x0
+    for x1n, x1d, y1n, y1d in rest:
+        g1n, g1d = y1n * x1d - x1n * y1d, y1d * x1d
+        if g0n == 0:
+            points.append((x0n, x0d))
+            if g1n == 0:
+                identity.append(((x0n, x0d), (x1n, x1d)))
+        elif g1n != 0 and (g0n < 0) != (g1n < 0):
+            points.append(exact_pwl._lerp(g0n, g0d, x0n, x0d, g1n, g1d, x1n, x1d, 0, 1))
+        x0n, x0d, g0n, g0d = x1n, x1d, g1n, g1d
+    if g0n == 0:
+        points.append((x0n, x0d))
+    return points, identity
+
+
 def mobius(n):
     result = 1
     p = 2
@@ -358,9 +377,10 @@ class TestIterate:
         monkeypatch.setattr(exact_pwl, "_canonical", counted_canonical)
         monkeypatch.setattr(exact_pwl, "_compose", counted_compose)
         assert len(TENT.iterate(k).breakpoints) == 2**k + 1
-        # repeated squaring: floor(log2 k) squarings, popcount(k) - 1 products
+        # repeated squaring: floor(log2 k) squarings, popcount(k) - 1 products;
+        # each composition keeps its result canonical as it cuts, no second pass
         compositions = k.bit_length() - 1 + bin(k).count("1") - 1
-        assert calls == ["compose", "canonical"] * compositions
+        assert calls == ["compose"] * compositions
 
     def test_an_overrun_of_the_cuts_alone_answers_by_squaring(self, monkeypatch):
         # f^2 o f^2 cuts at 1/4 and 1/2 of f^2 and at 5/16 and 3/8 of f^4:
@@ -722,6 +742,13 @@ class TestIntegerKernel:
             got = fractions_of(got)
         assert got == result_or_error(ref_compose, f.breakpoints, g.breakpoints, budget)
 
+    def test_compose_drops_an_inner_breakpoints_collinear_image(self):
+        # g's breakpoint 1/2 maps onto f's breakpoint 1/4, and the slopes
+        # 1/2 * 2 and 3/2 * 2/3 agree there: f o g is the identity
+        f = PwlMap([(0, 0), (F(1, 4), F(1, 2)), (1, 1)])
+        g = PwlMap([(0, 0), (F(1, 2), F(1, 4)), (1, 1)])
+        assert exact_pwl._compose(f._pairs, g._pairs, 2) == IDENTITY._pairs
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_compose_raises_exactly_past_the_budget(self, data):
@@ -822,6 +849,13 @@ class TestIntegerKernel:
         g = f.iterate(n)
         got = exact_pwl._fixed_points(exact_pwl._fixed_structure(g._pairs))
         assert got == ref_fixed_structure(g.breakpoints)
+
+    @settings(max_examples=200, deadline=None)
+    @given(general_maps(), st.integers(min_value=1, max_value=3))
+    def test_fixed_structure_matches_the_lerp_solve(self, f, n):
+        # the same integer pairs, root for root, as the _lerp solve gave
+        g = f.iterate(n)._pairs
+        assert exact_pwl._fixed_structure(g) == lerp_fixed_structure(g)
 
     @settings(max_examples=200, deadline=None)
     @given(maps_and_windows(), st.integers(min_value=1, max_value=3))
