@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from itertools import islice, product
 from math import gcd
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .errors import (
     BadClampBounds,
@@ -471,20 +471,6 @@ def _restrict(pairs: Pairs, lo: Q, hi: Q) -> Pairs:
     return _canonical([lo + _value_at(pairs, i, *lo), *pairs[i:j], hi + _value_at(pairs, j, *hi)])
 
 
-def _coalesce(spans: Iterable[tuple[Q, Q]]) -> list[tuple[Q, Q]]:
-    """Merge closed spans given in lap order where one starts as the last ends.
-
-    Spans in lap order never overlap, so touching is the only way to meet.
-    """
-    merged: list[tuple[Q, Q]] = []
-    for a, b in spans:
-        if merged and merged[-1][1] == a:
-            merged[-1] = (merged[-1][0], b)
-        else:
-            merged.append((a, b))
-    return merged
-
-
 def _fixed_structure(pairs: Pairs) -> Structure:
     """Solutions of f(x) = x on canonical pairs: ascending points, identity laps.
 
@@ -517,27 +503,15 @@ def _fixed_structure(pairs: Pairs) -> Structure:
     return points, identity
 
 
-def _within_levels(pairs: Pairs, lo: Q, hi: Q) -> list[tuple[Q, Q]]:
-    """Maximal closed components of {x : lo <= f(x) <= hi}, ascending.
+def _sort_key(qs: Iterable[Q]) -> Callable[[Q], int]:
+    """An exact integer sort key for the kernel rationals qs: n / d -> (n << B) // d.
 
-    With lo == hi this is the level set, one crossing per monotone lap.
+    2^B > D^2 for the largest denominator D in qs.  Two distinct such
+    rationals differ by at least 1 / D^2, so times 2^B by more than 1, and
+    their floors differ: the key strictly increases with the value.
     """
-    spans: list[tuple[Q, Q]] = []
-    for p0, p1 in _laps(pairs):
-        low, high = (p0, p1) if _le(p0[2:], p1[2:]) else (p1, p0)
-        if not (_le(lo, high[2:]) and _le(low[2:], hi)):
-            continue  # the lap's values miss [lo, hi]
-        if low[2:] == high[2:]:
-            spans.append((p0[:2], p1[:2]))
-            continue
-        a = low[:2] if _le(lo, low[2:]) else _crossing(p0, p1, lo)
-        b = a if lo == hi else high[:2] if _le(high[2:], hi) else _crossing(p0, p1, hi)
-        spans.append((a, b) if _le(a, b) else (b, a))
-    return _coalesce(spans)
-
-
-#: Sort key putting kernel rationals in ascending order.
-_ASCENDING = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
+    bits = 2 * max((d for _, d in qs), default=1).bit_length()
+    return lambda q: (q[0] << bits) // q[1]
 
 
 def _image(pairs: Pairs, lo: Q, hi: Q) -> tuple[Q, Q]:
@@ -547,30 +521,66 @@ def _image(pairs: Pairs, lo: Q, hi: Q) -> tuple[Q, Q]:
     i, j = _locate(pairs, *lo), _locate(pairs, *hi)
     values = [_value_at(pairs, i, *lo), _value_at(pairs, j, *hi)]
     values += (p[2:] for p in pairs[i:j])
-    return min(values, key=_ASCENDING), max(values, key=_ASCENDING)
+    values.sort(key=_sort_key(values))
+    return values[0], values[-1]
 
 
-def _branches(pairs: Pairs, J: tuple[Q, Q], K: tuple[Q, Q]) -> list[tuple[Q, Q]]:
-    """PwlMap.preimage_branches on spans; f(J) must cover K."""
-    if J[0] == J[1]:
-        return [J]  # f(J) covers K, so K is the one point f(J)
-    pairs = _restrict(pairs, *J)
-    lo, hi = K
+def _clip(pairs: Pairs, lo: Q, hi: Q) -> Pairs:
+    """f on [lo, hi] for _branches; a point is one lap of width 0."""
     if lo == hi:
-        return _within_levels(pairs, lo, lo)
-    lo_hits = _within_levels(pairs, lo, lo)
-    hi_hits = _within_levels(pairs, hi, hi)
+        p = lo + _eval_pairs(pairs, lo)
+        return p, p
+    return _restrict(pairs, lo, hi)
 
-    def within(a: Q, b: Q, hits: list[tuple[Q, Q]]) -> list[tuple[Q, Q]]:
-        return [h for h in hits if _le(a, h[0]) and _le(h[1], b)]
 
+def _hits(p0: Breakpoint, p1: Breakpoint, e0: int, e1: int, c: Q) -> Optional[tuple[Q, Q]]:
+    """The first and last x on the lap with f = c, given f - c's signs at its ends."""
+    if e0 == 0:
+        return p0[:2], p1[:2] if e1 == 0 else p0[:2]
+    if e1 == 0:
+        return p1[:2], p1[:2]
+    if (e0 < 0) == (e1 < 0):
+        return None
+    x = _crossing(p0, p1, c)
+    return x, x
+
+
+def _branches(clipped: Pairs, K: tuple[Q, Q]) -> list[tuple[Q, Q]]:
+    """PwlMap.preimage_branches on f clipped to J (_clip); f(J) must cover K.
+
+    One sweep finds the components of {x in J : f(x) in K}: each lap whose
+    values meet K adds its span there, and a span that starts where the
+    last ended extends its component (spans in lap order never overlap).
+    For degenerate K these are the level set.  Otherwise a component
+    offers (first K.lo, last K.hi) and (first K.hi, last K.lo), x where f
+    takes those values, when nondegenerate and not inside the other.
+    """
+    lo, hi = K
+    comps: list[list] = []  # [start, end, first lo, last lo, first hi, last hi]
+    for p0, p1 in _laps(clipped):
+        (_, _, y0n, y0d), (_, _, y1n, y1d) = p0, p1
+        s0, s1 = y0n * lo[1] - lo[0] * y0d, y1n * lo[1] - lo[0] * y1d  # f - K.lo
+        t0, t1 = y0n * hi[1] - hi[0] * y0d, y1n * hi[1] - hi[0] * y1d  # f - K.hi
+        if (s0 < 0 and s1 < 0) or (t0 > 0 and t1 > 0):
+            continue  # the lap's values miss K
+        at_lo = _hits(p0, p1, s0, s1, lo)
+        at_hi = at_lo if lo == hi else _hits(p0, p1, t0, t1, hi)
+        start = p0[:2] if s0 >= 0 >= t0 else at_lo[0] if s0 < 0 else at_hi[0]
+        end = p1[:2] if s1 >= 0 >= t1 else at_lo[1] if s1 < 0 else at_hi[1]
+        if not comps or comps[-1][1] != start:
+            comps.append([start, end, None, None, None, None])
+        comp = comps[-1]
+        comp[1] = end
+        if at_lo:
+            comp[2], comp[3] = comp[2] or at_lo[0], at_lo[1]
+        if at_hi:
+            comp[4], comp[5] = comp[4] or at_hi[0], at_hi[1]
+    if lo == hi:
+        return [(comp[0], comp[1]) for comp in comps]
     branches: list[tuple[Q, Q]] = []
-    for a, b in _within_levels(pairs, lo, hi):
-        lo_in, hi_in = within(a, b, lo_hits), within(a, b, hi_hits)
-        if not lo_in or not hi_in:
+    for _, _, first_lo, last_lo, first_hi, last_hi in comps:
+        if first_lo is None or first_hi is None:
             continue  # the component does not map onto all of K
-        first_lo, last_lo = lo_in[0][0], lo_in[-1][1]
-        first_hi, last_hi = hi_in[0][0], hi_in[-1][1]
         cands = []
         if not _le(last_hi, first_lo):
             cands.append((first_lo, last_hi))
@@ -583,7 +593,9 @@ def _branches(pairs: Pairs, J: tuple[Q, Q], K: tuple[Q, Q]) -> list[tuple[Q, Q]]
         ]
     # no two branches start together: a start maps onto K.lo or K.hi, and
     # the components are disjoint
-    branches.sort(key=lambda c: _ASCENDING(c[0]))
+    if len(branches) > 1:
+        key = _sort_key([c[0] for c in branches])
+        branches.sort(key=lambda c: key(c[0]))
     return branches
 
 
@@ -624,10 +636,7 @@ def fixed_structure_on(
 
 def level_set_on(f: "PwlMap", c: Fraction, window: Interval) -> list[Interval]:
     """Maximal closed components of {x in window : f(x) = c}, ascending."""
-    if window.is_degenerate:
-        return [window] if f(window.lo) == c else []
-    pairs = _restrict(f._pairs, *window._span)
-    return _intervals(_within_levels(pairs, _q(c), _q(c)))
+    return _intervals(_branches(_clip(f._pairs, *window._span), (_q(c),) * 2))
 
 
 # ---------------------------------------------------------------------------
@@ -727,13 +736,13 @@ class PwlMap:
         left endpoint and pairwise non-nested.  For degenerate K these are
         the components of the level set inside J.  Within every component
         of {x in J : f(x) in K} whose image is all of K and whose endpoints
-        map onto K's boundary, the branches cover the component.  The
-        search runs on the kernel's integer pairs, the same core that
+        map onto K's boundary, the branches cover the component.  They come
+        from one sweep over f's laps clipped to J, the same core that
         follows the chains of :func:`follow_cycle`.
         """
         if not self.covers(J, K):
             raise NotCovering(f"f({J}) does not contain {K}")
-        return _intervals(_branches(self._pairs, J._span, K._span))
+        return _intervals(_branches(_clip(self._pairs, *J._span), K._span))
 
     def clamp(self, lo: RationalLike, hi: RationalLike) -> "PwlMap":
         """median(lo, f(x), hi) with exact breakpoints where f crosses the bounds."""
@@ -852,8 +861,8 @@ def least_period(f: PwlMap, y: RationalLike, k: int) -> int:
 def orbit_of(f: PwlMap, y: RationalLike, max_steps: int = 10_000) -> Orbit:
     """Follow y under f until it returns; error if it is not periodic.
 
-    The points are matched and sorted as kernel pairs, so no two
-    Fractions are compared.
+    The points are matched as kernel pairs and sorted by one exact integer
+    key each (see _sort_key), so no two Fractions are compared.
     """
     y = as_fraction(y)
     start = _q(y)
@@ -862,7 +871,7 @@ def orbit_of(f: PwlMap, y: RationalLike, max_steps: int = 10_000) -> Orbit:
         current = f(current)
         q = _q(current)
         if q == start:
-            return Orbit._of(tuple(sorted(visited, key=_ASCENDING)))
+            return Orbit._of(tuple(sorted(visited, key=_sort_key(visited))))
         if q in visited:
             raise NotAnOrbit(f"{y} is pre-periodic, not periodic")
         seen.append(current)
@@ -910,7 +919,7 @@ def _lap_point(
         for d, g in enumerate(chain, start=1):
             if k % d == 0:
                 cuts.update(_fixed_structure(g)[0])
-    ordered = sorted(cuts, key=_ASCENDING)
+    ordered = sorted(cuts, key=_sort_key(cuts))
     candidates = [ordered[0]]
     for a, b in zip(ordered, ordered[1:]):
         # the midpoint: the value at 1 of the line through (0, a) and (2, b)
@@ -1087,7 +1096,7 @@ def _partition(f: Pairs, piece_budget: int) -> tuple[list[int], MarkovGraph]:
         if len(closure) > piece_budget:
             raise PieceBudgetExceeded(f"the breakpoints' closure passes {piece_budget} points")
         new = {_eval_pairs(f, y) for y in new} - closure
-    points = sorted(closure, key=_ASCENDING)
+    points = sorted(closure, key=_sort_key(closure))
     position = {y: i for i, y in enumerate(points)}
     image = [position[v] for v in _eval_ascending(f, points)]
     edges = frozenset(
@@ -1236,9 +1245,11 @@ def follow_cycle(
     The loop must be a cycle (see :func:`require_cycle`).  When every
     J_i is nondegenerate and lies in one lap of nonzero slope, f^n is
     affine on the one chain start and y is one solve.  Otherwise the
-    chain starts are searched leftmost first and f^n is solved on each.
-    With ``require_least_period`` only a point of least period exactly n
-    is accepted, and each identity lap of f^n on a chain start offers the
+    chains are searched leftmost first, one sweep per level over f clipped
+    to each distinct J_i once, and f^n is solved on each: one solve when
+    the chain is lap-aligned too, else composed on its start.  With
+    ``require_least_period`` only a point of least period exactly n is
+    accepted, and each identity lap of f^n on a chain start offers the
     representative of :func:`point_of_least_period_in_lap`.  None when no
     point qualifies.  Only the returned point becomes a Fraction.
     """
@@ -1257,16 +1268,18 @@ def _cycle_candidates(
     """The solutions of f^n(x) = x on the chain starts, in search order.
 
     A lap-aligned cycle offers its one solution.  Otherwise each chain
-    start offers its solutions ascending and, when a least period is
-    required, the representative of each identity lap that has one.
+    start offers its solutions ascending, one solve on a lap-aligned chain,
+    and, when a least period is required, the representative of each
+    identity lap that has one.
     """
     y = _lap_aligned_solution(f, spans)
     if y is not None:
         yield y
         return
     n = len(spans)
-    for lo, hi in _chain_starts(f, spans):
-        points, laps = _solve_on(f, lo, hi, n, piece_budget)
+    for chain in _chains(f, spans):
+        y = _lap_aligned_solution(f, chain)
+        points, laps = _solve_on(f, *chain[0], n, piece_budget) if y is None else ([y], [])
         yield from points
         if least:
             for a, b in laps:
@@ -1276,15 +1289,16 @@ def _cycle_candidates(
 
 
 def _lap_aligned_solution(f: Pairs, spans: list[tuple[Q, Q]]) -> Optional[Q]:
-    """The one solution of f^n(x) = x on the chain start of a lap-aligned cycle.
+    """The one solution of f^n(x) = x on the chain start, for lap-aligned spans.
 
-    A cycle is lap-aligned when every span is nondegenerate and lies in
-    one lap.  A flat lap covers only a point, so each of these laps has
-    nonzero slope and each step is affine and one-to-one.  Hence the
-    chain is unique and f^n on its start L_0 is x -> A x + B, mapping L_0
-    onto J_0, which holds L_0.  With A != 1 the one root B / (1 - A)
-    therefore lies in L_0.  None when the cycle is not lap-aligned, and
-    when A = 1: then L_0 = J_0 is an identity lap of f^n.
+    Spans are lap-aligned when each is nondegenerate and lies in one lap.
+    They are a cycle J_0 .. J_(n-1), whose one chain lies in its laps, or
+    a chain L_0 .. L_(n-1) of one: L_i in J_i, f(L_i) = L_(i+1), and L_n =
+    J_0 holds L_0.  A flat lap covers only a point, so f^n on L_0 is x ->
+    A x + B, onto J_0.  With A != 1 its one root B / (1 - A) lies in L_0,
+    where f^n(x) - x keeps no strict sign, and is all that _fixed_structure
+    finds for f^n restricted to L_0.  None when the spans are not
+    lap-aligned, and when A = 1: L_0 = J_0 is an identity lap of f^n.
     """
     u, v, w = 1, 0, 1  # f^i on L_0 is x -> (u x + v) / w, w > 0
     for lo, hi in spans:
@@ -1303,23 +1317,28 @@ def _lap_aligned_solution(f: Pairs, spans: list[tuple[Q, Q]]) -> Optional[Q]:
     return v // g, (w - u) // g
 
 
-def _chain_starts(f: Pairs, spans: list[tuple[Q, Q]]) -> Iterator[tuple[Q, Q]]:
-    """L_0 of every chain (L_0 .. L_(n-1)) with L_i in J_i and f(L_i) = L_(i+1).
+def _chains(f: Pairs, spans: list[tuple[Q, Q]]) -> Iterator[list[tuple[Q, Q]]]:
+    """Every chain [L_0, .., L_(n-1)] with L_i in J_i and f(L_i) = L_(i+1).
 
     Here L_n = J_0.  The chains are built backward from L_(n-1) with an
     explicit stack, leftmost branch first at every level, so the emitted
-    order is deterministic and no recursion limit caps n.
+    order is deterministic and no recursion limit caps n.  Each level is
+    one _branches sweep over f clipped to each distinct span once.
     """
     n = len(spans)
-    stack = [iter(_branches(f, spans[-1], spans[0]))]
+    clipped = {J: _clip(f, *J) for J in set(spans)}
+    stack = [iter(_branches(clipped[spans[-1]], spans[0]))]
+    chain = list(spans)  # chain[n - k] is the branch taken at depth k
     while stack:
         branch = next(stack[-1], None)
         if branch is None:
             stack.pop()
-        elif len(stack) == n:
-            yield branch
+            continue
+        chain[n - len(stack)] = branch
+        if len(stack) == n:
+            yield list(chain)
         else:
-            stack.append(iter(_branches(f, spans[n - 1 - len(stack)], branch)))
+            stack.append(iter(_branches(clipped[spans[n - 1 - len(stack)]], branch)))
 
 
 def _return_time(f: Pairs, y: Q, spans: list[tuple[Q, Q]]) -> Optional[int]:

@@ -4,6 +4,7 @@ import itertools
 import random
 from bisect import bisect_right
 from fractions import Fraction as F
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings
@@ -263,6 +264,66 @@ def lerp_fixed_structure(pairs):
     if g0n == 0:
         points.append((x0n, x0d))
     return points, identity
+
+
+def three_pass_levels(pairs, lo, hi):
+    """Maximal closed components of {x : lo <= f(x) <= hi}, by lap and merged
+    where they touch: _within_levels as _branches ran it before the sweep."""
+    spans = []
+    for p0, p1 in exact_pwl._laps(pairs):
+        low, high = (p0, p1) if exact_pwl._le(p0[2:], p1[2:]) else (p1, p0)
+        if not (exact_pwl._le(lo, high[2:]) and exact_pwl._le(low[2:], hi)):
+            continue
+        if low[2:] == high[2:]:
+            spans.append((p0[:2], p1[:2]))
+            continue
+        a = low[:2] if exact_pwl._le(lo, low[2:]) else exact_pwl._crossing(p0, p1, lo)
+        b = (a if lo == hi else high[:2] if exact_pwl._le(high[2:], hi)
+             else exact_pwl._crossing(p0, p1, hi))
+        spans.append((a, b) if exact_pwl._le(a, b) else (b, a))
+    merged = []
+    for a, b in spans:
+        if merged and merged[-1][1] == a:
+            merged[-1] = (merged[-1][0], b)
+        else:
+            merged.append((a, b))
+    return merged
+
+
+def three_pass_branches(pairs, J, K):
+    """_branches before the sweep: restrict f to J, take the level components
+    of K.lo, of K.hi and of K in three passes, and match them by component."""
+    if J[0] == J[1]:
+        return [J]
+    pairs = exact_pwl._restrict(pairs, *J)
+    lo, hi = K
+    if lo == hi:
+        return three_pass_levels(pairs, lo, lo)
+    lo_hits, hi_hits = three_pass_levels(pairs, lo, lo), three_pass_levels(pairs, hi, hi)
+
+    def within(a, b, hits):
+        return [h for h in hits if exact_pwl._le(a, h[0]) and exact_pwl._le(h[1], b)]
+
+    branches = []
+    for a, b in three_pass_levels(pairs, lo, hi):
+        lo_in, hi_in = within(a, b, lo_hits), within(a, b, hi_hits)
+        if not lo_in or not hi_in:
+            continue
+        first_lo, last_lo = lo_in[0][0], lo_in[-1][1]
+        first_hi, last_hi = hi_in[0][0], hi_in[-1][1]
+        cands = []
+        if not exact_pwl._le(last_hi, first_lo):
+            cands.append((first_lo, last_hi))
+        if not exact_pwl._le(last_lo, first_hi):
+            cands.append((first_hi, last_lo))
+        branches += [
+            c for c in cands
+            if not any(o != c and exact_pwl._le(o[0], c[0]) and exact_pwl._le(c[1], o[1])
+                       for o in cands)
+        ]
+    ascending = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
+    branches.sort(key=lambda c: ascending(c[0]))
+    return branches
 
 
 def mobius(n):
@@ -579,7 +640,11 @@ def reference_preimage_branches(f, J, K):
         raise NotCovering(f"f({J}) does not contain {K}")
     if J.is_degenerate:
         return [Interval(J.lo, J.hi)]
-    pairs = ref_restrict(f.breakpoints, J.lo, J.hi)
+    return ref_branches(ref_restrict(f.breakpoints, J.lo, J.hi), K)
+
+
+def ref_branches(pairs, K):
+    """The branches onto K of the map pairs, whether or not it covers K."""
     if K.is_degenerate:
         return ref_within_levels(pairs, K.lo, K.lo)
     branches = []
@@ -878,11 +943,53 @@ class TestIntegerKernel:
         lo, hi = sorted((data.draw(values), data.draw(values)))
         if data.draw(st.booleans()):
             hi = lo  # a level set
-        pairs = exact_pwl._restrict(f._pairs, (a.numerator, a.denominator),
-                                    (b.numerator, b.denominator))
-        got = exact_pwl._within_levels(pairs, (lo.numerator, lo.denominator),
-                                       (hi.numerator, hi.denominator))
-        assert intervals_of(got) == ref_within_levels(ref_restrict(f.breakpoints, a, b), lo, hi)
+        # the sweep gives the level set for lo == hi, and otherwise the
+        # branches that ref_branches builds from ref_within_levels' components
+        clipped = exact_pwl._clip(f._pairs, (a.numerator, a.denominator),
+                                  (b.numerator, b.denominator))
+        got = exact_pwl._branches(clipped, ((lo.numerator, lo.denominator),
+                                            (hi.numerator, hi.denominator)))
+        ref = ref_branches(ref_restrict(f.breakpoints, a, b), Interval(lo, hi))
+        assert intervals_of(got) == ref
+
+    @settings(max_examples=300, deadline=None)
+    @given(general_maps(), st.data())
+    def test_sweep_matches_the_three_pass_branches(self, f, data):
+        dom = f.domain
+        shares = st.fractions(min_value=0, max_value=1, max_denominator=1000)
+        a, b = sorted(dom.lo + dom.length * data.draw(shares) for _ in range(2))
+        if data.draw(st.booleans()):
+            b = a  # a degenerate J
+        J = (a.numerator, a.denominator), (b.numerator, b.denominator)
+        img = f.image(Interval(a, b))
+        # K inside f(J), often at breakpoint values, sometimes a point
+        values = st.one_of(
+            st.sampled_from([img.lo, img.hi, *(y for _, y in f.breakpoints if img.contains(y))]),
+            shares.map(lambda t: img.lo + img.length * t),
+        )
+        lo, hi = sorted((data.draw(values), data.draw(values)))
+        if data.draw(st.booleans()):
+            hi = lo
+        K = (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
+        got = exact_pwl._branches(exact_pwl._clip(f._pairs, *J), K)
+        assert got == three_pass_branches(f._pairs, J, K)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.fractions(min_value=-10, max_value=10, max_denominator=10**12), max_size=10),
+        st.integers(min_value=2, max_value=2**70),
+        st.data(),
+    )
+    def test_sort_key_orders_as_cross_multiplication(self, values, d, data):
+        # 1/d and 1/(d - 1) are Farey neighbours, 1 / (d (d - 1)) apart
+        values += [F(1, d), F(1, d - 1), F(-1, d), F(-1, d - 1)]
+        values += data.draw(st.lists(st.sampled_from(values), max_size=4))  # equal values
+        qs = [(v.numerator, v.denominator) for v in values]
+        key = exact_pwl._sort_key(qs)
+        for p, q in itertools.product(qs, repeat=2):
+            cross = p[0] * q[1] - q[0] * p[1]
+            assert (key(p) > key(q)) - (key(p) < key(q)) == (cross > 0) - (cross < 0)
+        assert sorted(qs, key=key) == [(v.numerator, v.denominator) for v in sorted(values)]
 
     def test_error_messages_print_values_as_before(self):
         cases = [

@@ -488,6 +488,33 @@ class TestCycleSearchMatchesTheReference:
         assert realized_periods(CyclicPattern((2, 1)), 4, method="walks") == {1, 2}
         assert calls["_branches"] > 0 and calls["_compose"] > 0
 
+    def test_rebound_below_cycles_clip_each_span_once(self, monkeypatch):
+        f = connect_the_dots(stefan_pattern(7))
+        trace = analyze_odd_orbit(f, orbit_of(f, 0))
+        assert trace.case is TraceCase.REBOUND_BELOW
+        aligned = 0
+        for n in (2, 4, 6, 9, 11):
+            loop = forcing_cycle(trace, n)
+            spans = [J._span for J in loop]
+            first = next(exact_pwl._chains(f._pairs, spans))
+            expected = periodic_point_from_cycle(f, loop)
+            calls = {}
+            for name in ("_clip", "_compose"):
+                def counted(*args, _name=name, _original=getattr(exact_pwl, name)):
+                    calls[_name] = calls.get(_name, 0) + 1
+                    return _original(*args)
+
+                monkeypatch.setattr(exact_pwl, name, counted)
+            assert exact_pwl.follow_cycle(f, loop) == expected
+            monkeypatch.undo()
+            assert calls["_clip"] == len(set(spans))
+            if exact_pwl._lap_aligned_solution(f._pairs, first) is not None:
+                aligned += 1
+                assert "_compose" not in calls
+            else:
+                assert calls["_compose"] > 0
+        assert aligned == 3  # n = 2, 9 and 11; the middle two compose
+
     def test_long_witness_output_is_pinned(self, capsys):
         argv = ["witness", "odd", "--json", "--pattern", "1>2>3", "--period", "2000"]
         assert cli.run(argv) == 0
@@ -508,6 +535,56 @@ class TestCycleSearchMatchesTheReference:
         monkeypatch.undo()
         assert compared == []
         assert orbit.period == 2000 and orbit == Orbit(orbit.points)
+
+
+def assert_chains_solve_as_their_composition(f, loop):
+    """Every chain's affine solve equals f^n composed on its start and solved.
+
+    Returns how many chains were lap-aligned with slope product other than
+    +1, and how many with +1, where the solve declines.
+    """
+    pairs, spans = f._pairs, [J._span for J in loop]
+    n, counts = len(spans), [0, 0]
+    xs = [x for x, _ in f.breakpoints]
+    for chain in exact_pwl._chains(pairs, spans):
+        y = exact_pwl._lap_aligned_solution(pairs, chain)
+        ends = [(F(*lo), F(*hi)) for lo, hi in chain]
+        if not all(lo < hi and not any(lo < x < hi for x in xs) for lo, hi in ends):
+            assert y is None
+            continue
+        start = exact_pwl._restrict(pairs, *chain[0])
+        *_, composed = exact_pwl._iterates(pairs, start, n, exact_pwl.DEFAULT_PIECE_BUDGET)
+        points, laps = exact_pwl._fixed_structure(composed)
+        if laps:
+            assert y is None and laps == [chain[0]]
+            counts[1] += 1
+        else:
+            assert [y] == points
+            counts[0] += 1
+    return counts
+
+
+class TestLapAlignedChains:
+    @settings(max_examples=150, deadline=None)
+    @given(lap_aligned_cycles())
+    def test_chains_of_lap_aligned_cycles(self, case):
+        assert_chains_solve_as_their_composition(*case)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([5, 7, 9]), st.randoms(use_true_random=False))
+    def test_chains_of_forcing_cycles(self, m, rng):
+        f = connect_the_dots(random_pattern(m, rng))
+        trace = analyze_odd_orbit(f, orbit_of(f, 0))
+        lengths = [3] if trace.case.yields_period_three else [2, 4, 6, m + 2]
+        for n in lengths:
+            assert_chains_solve_as_their_composition(trace.map, forcing_cycle(trace, n))
+
+    def test_slope_product_one_falls_back(self):
+        for f, n in ((IDENTITY, 1), (NEG, 2), (NEG, 4)):
+            loop = IntervalLoop((f.domain,) * n)
+            assert assert_chains_solve_as_their_composition(f, loop) == [0, 1]
+        loop = IntervalLoop((NEG.domain,) * 3)
+        assert assert_chains_solve_as_their_composition(NEG, loop) == [1, 0]
 
 
 # ---------------------------------------------------------------------------
