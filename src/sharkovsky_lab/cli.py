@@ -143,6 +143,8 @@ def _cmd_witness(args) -> None:
     else:  # odd
         if args.period is None:
             raise PreconditionError("--period is required for 'witness odd'")
+        # the orbit lists period points, and the certificate walks as many steps
+        _require_listable(args.period, args.walk_budget, "orbit points")
         period, trace = args.period, witnesses.analyze_odd_orbit(f, realization)
         point = witnesses.witness_from_trace(f, trace, period, piece_budget=args.piece_budget)
         payload = {
@@ -260,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="cap on enumerated closed walks, on the walk-count "
         "additions of spectrum's default route and of truncation "
-        "spectra, and on the periods 'forced --upto' and the points "
-        "'pattern stefan' lists (env SHARKOVSKY_WALK_BUDGET)",
+        "spectra, and on the items that 'forced --upto', 'pattern stefan' "
+        "and 'witness odd --period' list (env SHARKOVSKY_WALK_BUDGET)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1242,12 +1242,12 @@ def follow_cycle(
 ) -> Optional[Fraction]:
     """The first point y met with f^i(y) in J_i for each i and f^n(y) = y.
 
-    The loop must be a cycle (see :func:`require_cycle`).  When every
-    J_i is nondegenerate and lies in one lap of nonzero slope, f^n is
-    affine on the one chain start and y is one solve.  Otherwise the
-    chains are searched leftmost first, one sweep per level over f clipped
-    to each distinct J_i once, and f^n is solved on each: one solve when
-    the chain is lap-aligned too, else composed on its start.  With
+    The loop must be a cycle (see :func:`require_cycle`).  When every J_i
+    is nondegenerate and lies in one lap of nonzero slope, f^n is affine on
+    the one chain start and is solved once, also as the identity at slope
+    product +1.  Otherwise the chains are searched leftmost first, one
+    sweep per level over f clipped to each distinct J_i once, and f^n is
+    solved once on a lap-aligned chain, else composed on its start.  With
     ``require_least_period`` only a point of least period exactly n is
     accepted, and each identity lap of f^n on a chain start offers the
     representative of :func:`point_of_least_period_in_lap`.  None when no
@@ -1267,19 +1267,18 @@ def _cycle_candidates(
 ) -> Iterator[Q]:
     """The solutions of f^n(x) = x on the chain starts, in search order.
 
-    A lap-aligned cycle offers its one solution.  Otherwise each chain
-    start offers its solutions ascending, one solve on a lap-aligned chain,
-    and, when a least period is required, the representative of each
-    identity lap that has one.
+    A lap-aligned cycle offers the structure of f^n on its one chain start,
+    each other chain its own: solved once when lap-aligned, else composed.
+    A structure offers its points ascending and, when a least period is
+    required, the representative of each identity lap that has one.
     """
-    y = _lap_aligned_solution(f, spans)
-    if y is not None:
-        yield y
-        return
     n = len(spans)
-    for chain in _chains(f, spans):
-        y = _lap_aligned_solution(f, chain)
-        points, laps = _solve_on(f, *chain[0], n, piece_budget) if y is None else ([y], [])
+    aligned = _lap_aligned_structure(f, spans)
+    structures = [aligned] if aligned is not None else (
+        _lap_aligned_structure(f, chain) or _solve_on(f, *chain[0], n, piece_budget)
+        for chain in _chains(f, spans)
+    )
+    for points, laps in structures:
         yield from points
         if least:
             for a, b in laps:
@@ -1288,17 +1287,18 @@ def _cycle_candidates(
                     yield rep
 
 
-def _lap_aligned_solution(f: Pairs, spans: list[tuple[Q, Q]]) -> Optional[Q]:
-    """The one solution of f^n(x) = x on the chain start, for lap-aligned spans.
+def _lap_aligned_structure(f: Pairs, spans: list[tuple[Q, Q]]) -> Optional[Structure]:
+    """_fixed_structure of f^n on the chain start, for lap-aligned spans.
 
     Spans are lap-aligned when each is nondegenerate and lies in one lap.
     They are a cycle J_0 .. J_(n-1), whose one chain lies in its laps, or
     a chain L_0 .. L_(n-1) of one: L_i in J_i, f(L_i) = L_(i+1), and L_n =
-    J_0 holds L_0.  A flat lap covers only a point, so f^n on L_0 is x ->
-    A x + B, onto J_0.  With A != 1 its one root B / (1 - A) lies in L_0,
-    where f^n(x) - x keeps no strict sign, and is all that _fixed_structure
-    finds for f^n restricted to L_0.  None when the spans are not
-    lap-aligned, and when A = 1: L_0 = J_0 is an identity lap of f^n.
+    J_0 holds L_0.  A flat lap covers only a point, so f^n maps L_0 in J_0
+    affinely onto J_0, by x -> A x + B.  With A != 1 its one root
+    B / (1 - A) lies in L_0, where f^n(x) - x keeps no strict sign, and is
+    all that _fixed_structure finds for f^n restricted to L_0.  A slope
+    A = 1 forces L_0 = J_0 and B = 0, and f^n is the identity there.  None
+    when the spans are not lap-aligned.
     """
     u, v, w = 1, 0, 1  # f^i on L_0 is x -> (u x + v) / w, w > 0
     for lo, hi in spans:
@@ -1310,11 +1310,11 @@ def _lap_aligned_solution(f: Pairs, spans: list[tuple[Q, Q]]) -> Optional[Q]:
         g = gcd(u, v, w)
         u, v, w = u // g, v // g, w // g
     if u == w:
-        return None
+        return list(spans[0]), [spans[0]]
     g = gcd(v, w - u)
     if w < u:
         g = -g
-    return v // g, (w - u) // g
+    return [(v // g, (w - u) // g)], []
 
 
 def _chains(f: Pairs, spans: list[tuple[Q, Q]]) -> Iterator[list[tuple[Q, Q]]]:

@@ -189,15 +189,13 @@ def periodic_point_from_cycle(
 
     The chain of intervals must be a cycle: each f(J_i) covers J_{i+1}
     cyclically.  When every J_i is nondegenerate and lies in one lap of f
-    with nonzero slope, f^n on the chain start is affine and the point is
-    one exact solve; a slope product of +1 makes the start an identity
-    lap, which is searched like the general case.  Otherwise the point is
-    found by nesting preimage branches backward, leftmost first, and
-    solving the restricted composition exactly on each innermost
-    interval.  With ``require_least_period`` the branches are explored
-    depth-first until a point of least period exactly n appears; if every
-    branch yields only shorter periods, :class:`NoLeastPeriodWitness` is
-    raised.
+    with nonzero slope, f^n on the chain start is affine and is solved
+    once, also when a slope product of +1 makes J_0 an identity lap of
+    f^n.  Otherwise the point is found by nesting preimage branches
+    backward, leftmost first, and solving f^n on each innermost interval.
+    With ``require_least_period`` the branches are explored depth-first
+    until a point of least period exactly n appears; if every branch
+    yields only shorter periods, :class:`NoLeastPeriodWitness` is raised.
     """
     require_cycle(f, loop)
     return _point_on_cycle(f, loop, require_least_period, piece_budget)

@@ -102,6 +102,25 @@ class TestPattern:
             assert code == 3 and not out
             assert err == f"budget exceeded: more than 10 {items} to list\n"
 
+    def test_witness_period_past_the_walk_budget_exits_three(self, capsys, monkeypatch):
+        # the orbit lists period points and the certificate walks as many
+        # steps: past the walk budget nothing is analysed or built
+        argv = ("witness", "odd", "--pattern", "1>2>3", "--period")
+        assert invoke(capsys, "--walk-budget", "7", *argv, "7")[0] == 0
+
+        def refuse(*args):
+            raise AssertionError("nothing is analysed past the walk budget")
+
+        monkeypatch.setattr(witnesses, "analyze_odd_orbit", refuse)
+        monkeypatch.setattr(witnesses, "witness_from_trace", refuse)
+        for flags in ((), ("--json",)):
+            code, out, err = invoke(capsys, "--walk-budget", "7", *argv, "9", *flags)
+            assert code == 3 and not out
+            assert err == "budget exceeded: more than 7 orbit points to list\n"
+        code, out, err = invoke(capsys, "--walk-budget", "100000", *argv, "1000000")
+        assert code == 3 and not out
+        assert err == "budget exceeded: more than 100000 orbit points to list\n"
+
 
 class TestWitness:
     def test_period2_trace(self, capsys):
@@ -553,10 +572,10 @@ def pattern_slot(draw):
 def cli_argv(draw):
     """Argv for a random subcommand: valid slots, up to two of them malformed.
 
-    Budgets stay small and the paths that no budget bounds (witness
-    --period, the direct and walks spectra) get small bounds; forced
-    --upto and pattern stefan m are bounded by the walk budget.  Flags
-    are never corrupted, so no query runs under the default budgets.
+    Budgets stay small and the paths that no budget bounds (the direct
+    and walks spectra) get small bounds; forced --upto, pattern stefan m
+    and witness odd --period are bounded by the walk budget.  Flags are
+    never corrupted, so no query runs under the default budgets.
     """
     slots = [
         "--piece-budget", ints(1, 4096),
@@ -578,7 +597,7 @@ def cli_argv(draw):
         slots += ["witness", word("period2"), "--pattern", draw(pattern_slot())]
     elif command == "odd":
         slots += ["witness", word("odd"), "--pattern", draw(pattern_slot()),
-                  "--period", ints(1, 1000)]
+                  "--period", ints(1, 10**12)]
     elif command == "pk":
         slots += ["tent", word("pk"), ints(1, 10**9)]
     elif command == "truncate":

@@ -8,6 +8,7 @@ import sys
 import textwrap
 from dataclasses import fields
 from fractions import Fraction as F
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -476,7 +477,7 @@ class TestCycleSearchMatchesTheReference:
     def test_walks_over_laps_of_slope_product_not_one_never_branch(self, monkeypatch):
         direct = realized_periods(stefan_pattern(5), 8, method="direct")
         calls = {}
-        for name in ("_branches", "_compose"):
+        for name in ("_chains", "_branches", "_solve_on", "_compose"):
             def counted(*args, _name=name, _original=getattr(exact_pwl, name)):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _original(*args)
@@ -484,9 +485,10 @@ class TestCycleSearchMatchesTheReference:
             monkeypatch.setattr(exact_pwl, name, counted)
         assert realized_periods(stefan_pattern(5), 8, method="walks") == direct
         assert calls == {}
-        # the swap's length-4 walk is an identity lap of f^4: the general search
+        # the swap's length-4 walk is an identity lap of f^4, solved once;
+        # only its lap representative composes, f^2 on the lap
         assert realized_periods(CyclicPattern((2, 1)), 4, method="walks") == {1, 2}
-        assert calls["_branches"] > 0 and calls["_compose"] > 0
+        assert set(calls) == {"_compose"}
 
     def test_rebound_below_cycles_clip_each_span_once(self, monkeypatch):
         f = connect_the_dots(stefan_pattern(7))
@@ -508,7 +510,7 @@ class TestCycleSearchMatchesTheReference:
             assert exact_pwl.follow_cycle(f, loop) == expected
             monkeypatch.undo()
             assert calls["_clip"] == len(set(spans))
-            if exact_pwl._lap_aligned_solution(f._pairs, first) is not None:
+            if exact_pwl._lap_aligned_structure(f._pairs, first) is not None:
                 aligned += 1
                 assert "_compose" not in calls
             else:
@@ -538,29 +540,29 @@ class TestCycleSearchMatchesTheReference:
 
 
 def assert_chains_solve_as_their_composition(f, loop):
-    """Every chain's affine solve equals f^n composed on its start and solved.
+    """Every lap-aligned chain's structure is f^n composed on its start, solved.
 
-    Returns how many chains were lap-aligned with slope product other than
-    +1, and how many with +1, where the solve declines.
+    A lap-aligned cycle's own structure is its one chain's.  Returns how
+    many chains were lap-aligned with slope product other than +1, and how
+    many with +1, whose start is an identity lap.
     """
     pairs, spans = f._pairs, [J._span for J in loop]
-    n, counts = len(spans), [0, 0]
+    n, counts, structures = len(spans), [0, 0], []
     xs = [x for x, _ in f.breakpoints]
     for chain in exact_pwl._chains(pairs, spans):
-        y = exact_pwl._lap_aligned_solution(pairs, chain)
+        structure = exact_pwl._lap_aligned_structure(pairs, chain)
+        structures.append(structure)
         ends = [(F(*lo), F(*hi)) for lo, hi in chain]
         if not all(lo < hi and not any(lo < x < hi for x in xs) for lo, hi in ends):
-            assert y is None
+            assert structure is None
             continue
         start = exact_pwl._restrict(pairs, *chain[0])
         *_, composed = exact_pwl._iterates(pairs, start, n, exact_pwl.DEFAULT_PIECE_BUDGET)
-        points, laps = exact_pwl._fixed_structure(composed)
-        if laps:
-            assert y is None and laps == [chain[0]]
-            counts[1] += 1
-        else:
-            assert [y] == points
-            counts[0] += 1
+        assert structure == exact_pwl._fixed_structure(composed)
+        counts[bool(structure[1])] += 1
+    aligned = exact_pwl._lap_aligned_structure(pairs, spans)
+    if aligned is not None:
+        assert structures == [aligned]
     return counts
 
 
@@ -585,6 +587,101 @@ class TestLapAlignedChains:
             assert assert_chains_solve_as_their_composition(f, loop) == [0, 1]
         loop = IntervalLoop((NEG.domain,) * 3)
         assert assert_chains_solve_as_their_composition(NEG, loop) == [1, 0]
+
+
+# ---------------------------------------------------------------------------
+# the candidate search that preceded one structure per lap-aligned cycle or
+# chain, kept as the reference the candidates must agree with: there a
+# slope product of +1 declined the affine solve, and the cycle took the
+# chain search and composed f^n on the chain start
+# ---------------------------------------------------------------------------
+
+
+def reference_lap_aligned_solution(f, spans):
+    """The one root of the affine f^n on the chain start; None at slope 1."""
+    u, v, w = 1, 0, 1
+    for lo, hi in spans:
+        i = exact_pwl._locate(f, *lo)
+        if lo == hi or not 0 < i < len(f) or not exact_pwl._le(hi, f[i]):
+            return None
+        p, r, d = exact_pwl._lap_form(f[i - 1], f[i])
+        u, v, w = p * u, p * v + r * w, d * w
+        g = gcd(u, v, w)
+        u, v, w = u // g, v // g, w // g
+    if u == w:
+        return None
+    g = gcd(v, w - u)
+    if w < u:
+        g = -g
+    return v // g, (w - u) // g
+
+
+def reference_cycle_candidates(f, spans, least, piece_budget):
+    y = reference_lap_aligned_solution(f, spans)
+    if y is not None:
+        yield y
+        return
+    n = len(spans)
+    for chain in exact_pwl._chains(f, spans):
+        y = reference_lap_aligned_solution(f, chain)
+        if y is None:
+            points, laps = exact_pwl._solve_on(f, *chain[0], n, piece_budget)
+        else:
+            points, laps = [y], []
+        yield from points
+        if least:
+            for a, b in laps:
+                rep = exact_pwl._lap_point(f, n, a, b, piece_budget)
+                if rep is not None:
+                    yield rep
+
+
+def assert_candidates_match_the_reference(f, loop, least):
+    pairs, spans = f._pairs, [J._span for J in loop]
+    budget = exact_pwl.DEFAULT_PIECE_BUDGET
+    candidates = list(exact_pwl._cycle_candidates(pairs, spans, least, budget))
+    assert candidates == list(reference_cycle_candidates(pairs, spans, least, budget))
+    return candidates
+
+
+class TestCandidatesMatchTheReference:
+    @settings(max_examples=150, deadline=None)
+    @given(lap_aligned_cycles(), st.booleans())
+    def test_lap_aligned_cycles(self, case, least):
+        assert_candidates_match_the_reference(*case, least)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([5, 7, 9]), st.randoms(use_true_random=False), st.booleans())
+    def test_forcing_cycles(self, m, rng, least):
+        f = connect_the_dots(random_pattern(m, rng))
+        trace = analyze_odd_orbit(f, orbit_of(f, 0))
+        lengths = [3] if trace.case.yields_period_three else [2, 4, 6, m + 2]
+        for n in lengths:
+            assert_candidates_match_the_reference(trace.map, forcing_cycle(trace, n), least)
+
+    def test_slope_product_one(self):
+        # NEG^2 is the identity on [0, 1]: both ends, then the lap's
+        # representative, its leftmost point of least period 2
+        loop = IntervalLoop((NEG.domain,) * 2)
+        ends = [(0, 1), (1, 1)]
+        assert assert_candidates_match_the_reference(NEG, loop, False) == ends
+        assert assert_candidates_match_the_reference(NEG, loop, True) == [*ends, (0, 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=7), st.randoms(use_true_random=False))
+def test_walks_never_search_chains(m, rng):
+    # every node of the covering graph is a lap of nonzero slope, so every
+    # closed walk is a lap-aligned cycle: one solve, no chain search
+    pattern = random_pattern(m, rng)
+
+    def refuse(*args):
+        raise AssertionError("a covering-graph walk reached the chain search")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact_pwl, "_chains", refuse)
+        walks = realized_periods(pattern, 8, method="walks")
+    assert walks == realized_periods(pattern, 8)
 
 
 # ---------------------------------------------------------------------------
