@@ -994,7 +994,7 @@ def periodic_orbits_upto(
     kept while d still divides a later k (2d <= upto), and the identity
     laps of f^k are cut at them instead of composing a chain of their
     own.  A composition over the piece budget raises from the advance
-    that needs it and ends the generator.
+    that needs it, at the same k in either order, and ends the generator.
     """
     if upto < 1:
         raise ValueError("period bound must be >= 1")
@@ -1002,8 +1002,18 @@ def periodic_orbits_upto(
 
 
 def _censuses(f: PwlMap, upto: int, piece_budget: int) -> Iterator[PeriodicOrbits]:
+    """periodic_orbits_upto's censuses, each iterate composed as f^(k-1) o f.
+
+    Powers of f commute and canonical breakpoints are unique, so these are
+    the pairs of f o f^(k-1), and _compose raises exactly when they pass
+    piece_budget: at the same k, with the same message.  With f inner, its
+    few laps cut f^(k-1)'s breakpoints in _compose's tight crossing loop,
+    with no per-lap overhead on each of f^(k-1)'s laps.
+    """
     solved: Solved = {}
-    for k, g in enumerate(_iterates(f._pairs, f._pairs, upto, piece_budget), start=1):
+    g = f._pairs
+    for k in range(1, upto + 1):
+        g = g if k == 1 else _compose(g, f._pairs, piece_budget)
         fixed = _fixed_structure(g)
         yield _census(f, k, fixed, piece_budget, solved)
         if 2 * k <= upto:
@@ -1129,16 +1139,27 @@ def primitive_walk_counts(
     A^(k-1) at i's successors, or zero without any: the powers take
     additions only.  Each length spends one unit of walk_budget per
     addition, entries and divisor terms alike, and per 64-bit word of the
-    largest entry, so the budget bounds the counts' time and size.  Once
-    A^k = 0, A is nilpotent: every trace so far was 0 and every later one
-    is, so the remaining counts are 0 and spend nothing.
+    largest entry M of the power before, so the budget bounds the counts'
+    time and size.  Once A^k = 0, A is nilpotent: every trace so far was 0
+    and every later one is, so the remaining counts are 0 and spend nothing.
+
+    Row i is one int, entry j in bits [j w, (j + 1) w) and the row sum s_i
+    in field n, so one addition adds n entries and keeps s_i exact.  Sums
+    of nonnegative fields carry nowhere while each result field is below
+    2^w; a field is at most its row's s_i <= fan^k < 2^(k b), fan being the
+    largest out-degree and b its bit length.  So w = 64 serves when
+    upto b <= 62; else w is widened before the largest s_i, top, can pass
+    it in the next power, where every s_i is at most fan top.  The largest
+    of n entries summing to top has top // n <= M <= top, so M is read off
+    the fields only when those bounds differ in 64-bit words.
     """
-    succ = graph._successors
-    nodes = range(1, graph.node_count + 1)
-    zero = [0] * graph.node_count
-    additions = graph.node_count * len(graph.edges)  # per power
-    spent, words = 0, 1
-    power = [[int(i == j) for j in nodes] for i in nodes]
+    n = graph.node_count
+    succ = [[j - 1 for j in graph._successors[i]] for i in range(1, n + 1)]
+    additions = n * len(graph.edges)  # entry additions per power
+    fan = max(map(len, succ), default=0)
+    wide = upto * fan.bit_length() > 62
+    spent, words, width, mask, top = 0, 1, 64, (1 << 64) - 1, 1
+    rows = [(1 << i * width) + (1 << n * width) for i in range(n)]
     prim = [0]
     # sieve of proper divisors: sieve[k] lists the d < k seen so far with d | k
     sieve: dict[int, list[int]] = {}
@@ -1149,16 +1170,29 @@ def primitive_walk_counts(
             raise WalkBudgetExceeded(
                 f"more than {walk_budget} walk-count additions by length {k}"
             )
-        power = [
-            [sum(c) for c in zip(*(power[j - 1] for j in succ[i]))] or zero for i in nodes
-        ]
-        if not any(map(any, power)):
+        if wide and (fan * top).bit_length() > width:
+            old, width = width, 2 * (fan * top).bit_length()
+            rows = [sum(((r >> j * old) & mask) << j * width for j in range(n + 1)) for r in rows]
+            mask = (1 << width) - 1
+        power, trace = [], 0
+        for i, s in enumerate(succ):  # plain loops: the fastest way here
+            row = 0
+            for j in s:
+                row += rows[j]
+            power.append(row)
+            trace += (row >> i * width) & mask
+        rows = power
+        if not any(rows):
             return prim + [0] * (upto + 1 - k)
-        trace = sum(row[i] for i, row in enumerate(power))
         prim.append(trace - sum(prim[d] for d in shorter))
         for d in (*shorter, k):
             sieve.setdefault(k + d, []).append(d)
-        words = 1 + max(map(max, power)).bit_length() // 64
+        if wide:
+            top = max(r >> n * width for r in rows)
+            words = 1 + (top // n).bit_length() // 64
+            if words != 1 + top.bit_length() // 64:
+                entries = ((r >> j * width) & mask for r in rows for j in range(n))
+                words = 1 + max(entries).bit_length() // 64
     return prim
 
 

@@ -361,6 +361,15 @@ class TestSpectrum:
             assert code == 3 and not out
             assert "walk-count additions" in err
 
+    def test_the_walk_budget_ends_the_named_pattern_at_length_726(self, capsys):
+        # the default budget of 10^6 additions, charged per 64-bit word of
+        # the largest entry, lasts through length 725 and no further
+        argv = ("spectrum", "--pattern", "1>3>4>2>5>7>6", "--upto")
+        assert invoke_json(capsys, *argv, "725")["realized"] == list(range(1, 726))
+        code, out, err = invoke(capsys, *argv, "726")
+        assert code == 3 and not out
+        assert len(err.splitlines()) == 1 and "walk-count additions by length 726" in err
+
 
 class TestContract:
     def test_determinism(self, capsys):

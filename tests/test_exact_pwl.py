@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from bisect import bisect_right
 from fractions import Fraction as F
 from functools import cmp_to_key
@@ -28,6 +29,7 @@ from sharkovsky_lab import (
     SharkovskyLabError,
     SpectrumEntry,
     WalkBudgetExceeded,
+    all_patterns,
     connect_the_dots,
     divisors,
     fixed_points_of_iterate,
@@ -1407,6 +1409,51 @@ class TestCensus:
         assert realized_periods(CyclicPattern((2, 3, 1)), 5, "walks") == {1, 2, 3, 4, 5}
 
 
+def reference_censuses(f, upto, piece_budget=exact_pwl.DEFAULT_PIECE_BUDGET):
+    """periodic_orbits_upto with each iterate composed as f o f^(k-1), f outside."""
+    solved = {}
+    chain = exact_pwl._iterates(f._pairs, f._pairs, upto, piece_budget)
+    for k, g in enumerate(chain, start=1):
+        fixed = exact_pwl._fixed_structure(g)
+        yield exact_pwl._census(f, k, fixed, piece_budget, solved)
+        if 2 * k <= upto:
+            solved[k] = fixed[0]
+
+
+def censuses_until_overrun(censuses):
+    """The censuses a generator yields, then the overrun's message if it raises."""
+    out = []
+    try:
+        for census in censuses:
+            out.append(census)
+    except PieceBudgetExceeded as exc:
+        out.append(str(exc))
+    return out
+
+
+class TestCensusOrder:
+    """f^k composed as f^(k-1) o f: the same censuses and overruns as f o f^(k-1)."""
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_every_small_pattern_matches_the_f_outside_chain(self, m):
+        for pattern in all_patterns(m):
+            f = connect_the_dots(pattern)
+            assert list(periodic_orbits_upto(f, 8)) == list(reference_censuses(f, 8))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 6), st.integers(0, 10**6), st.integers(4, 64))
+    def test_overruns_come_at_the_same_k(self, m, seed, budget):
+        f = connect_the_dots(random_pattern(m, random.Random(seed)))
+        got = censuses_until_overrun(periodic_orbits_upto(f, 8, budget))
+        assert got == censuses_until_overrun(reference_censuses(f, 8, budget))
+
+    def test_overruns_are_exercised(self):
+        f = connect_the_dots(CyclicPattern.from_cycle_string("1>3>4>2>5>7>6"))
+        got = censuses_until_overrun(periodic_orbits_upto(f, 8, 64))
+        assert got[-1] == "composition needs more than 64 breakpoints"
+        assert got == censuses_until_overrun(reference_censuses(f, 8, 64))
+
+
 def census_spectrum(f, upto):
     """period_spectrum by the direct census alone."""
     return [
@@ -1504,6 +1551,103 @@ class TestMarkovSpectrum:
         with pytest.raises(WalkBudgetExceeded):
             period_spectrum(f, 9, walk_budget=60)
         assert exact_pwl.markov_orbit_counts(f, 9) is not None  # the default budget
+
+
+def reference_primitive_walk_counts(graph, upto, walk_budget=exact_pwl.DEFAULT_WALK_BUDGET):
+    """The walk counts on lists of entries, one addition per entry."""
+    succ = graph._successors
+    nodes = range(1, graph.node_count + 1)
+    zero = [0] * graph.node_count
+    additions = graph.node_count * len(graph.edges)  # per power
+    spent, words = 0, 1
+    power = [[int(i == j) for j in nodes] for i in nodes]
+    prim = [0]
+    sieve = {}
+    for k in range(1, upto + 1):
+        shorter = sieve.pop(k, [])
+        spent += (additions + len(shorter)) * words
+        if spent > walk_budget:
+            raise WalkBudgetExceeded(
+                f"more than {walk_budget} walk-count additions by length {k}"
+            )
+        power = [
+            [sum(c) for c in zip(*(power[j - 1] for j in succ[i]))] or zero for i in nodes
+        ]
+        if not any(map(any, power)):
+            return prim + [0] * (upto + 1 - k)
+        trace = sum(row[i] for i, row in enumerate(power))
+        prim.append(trace - sum(prim[d] for d in shorter))
+        for d in (*shorter, k):
+            sieve.setdefault(k + d, []).append(d)
+        words = 1 + max(map(max, power)).bit_length() // 64
+    return prim
+
+
+@st.composite
+def markov_graphs(draw):
+    """0 to 8 nodes, with self-loops and zero rows; some nilpotent (i -> j only for i < j)."""
+    n = draw(st.integers(0, 8))
+    nodes = st.integers(1, max(n, 1))
+    edges = draw(st.frozensets(st.tuples(nodes, nodes), max_size=n * n)) if n else frozenset()
+    if draw(st.booleans()):
+        edges = frozenset((i, j) for i, j in edges if i < j)
+    return exact_pwl.MarkovGraph(n, edges)
+
+
+def complete_graph(n):
+    return exact_pwl.MarkovGraph(n, frozenset(itertools.product(range(1, n + 1), repeat=2)))
+
+
+class TestPackedWalkCounts:
+    """primitive_walk_counts on packed rows against the entry-by-entry reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        markov_graphs(),
+        st.integers(1, 150),
+        st.integers(10, 10**8) | st.sampled_from([10, 10**3, 10**5, 10**8]),
+    )
+    def test_matches_the_reference(self, graph, upto, budget):
+        got = result_or_error(exact_pwl.primitive_walk_counts, graph, upto, budget)
+        assert got == result_or_error(reference_primitive_walk_counts, graph, upto, budget)
+
+    @pytest.mark.parametrize(
+        "graph, upto",
+        [
+            # every row of K8^k sums to top = 8^k, with entries M = top / 8.
+            # 8 top passes 2^64 at k = 22: the fields widen.  At k = 21,
+            # top // 8 = 2^60 and top = 2^63 take 1 and 2 words: M is read
+            # off the fields, and charging top's 2 words would show here
+            (complete_graph(8), 100),
+            (complete_graph(3), 150),
+            (complete_graph(1), 70),  # one self-loop: every entry 1, yet 70 > 62
+            (exact_pwl.MarkovGraph(3, frozenset({(1, 1), (1, 2), (2, 1), (3, 1)})), 120),
+        ],
+        ids=["K8", "K3", "loop", "fibonacci"],
+    )
+    def test_the_least_passing_budget_is_the_reference_charge(self, graph, upto):
+        counts = reference_primitive_walk_counts(graph, upto, 10**9)
+        lo, hi = 0, 10**9  # the least budget that passes: the whole charge
+        while lo < hi:
+            mid = (lo + hi) // 2
+            try:
+                exact_pwl.primitive_walk_counts(graph, upto, mid)
+                hi = mid
+            except WalkBudgetExceeded:
+                lo = mid + 1
+        assert exact_pwl.primitive_walk_counts(graph, upto, lo) == counts
+        assert reference_primitive_walk_counts(graph, upto, lo) == counts
+        with pytest.raises(WalkBudgetExceeded) as exc:
+            reference_primitive_walk_counts(graph, upto, lo - 1)
+        with pytest.raises(WalkBudgetExceeded, match=f"^{exc.value}$"):
+            exact_pwl.primitive_walk_counts(graph, upto, lo - 1)
+
+    def test_a_huge_bound_is_refused_by_the_budget_at_once(self):
+        graph = pattern_dynamics.markov_graph(CyclicPattern.from_cycle_string("1>3>2"))
+        start = time.perf_counter()
+        with pytest.raises(WalkBudgetExceeded, match="walk-count additions"):
+            exact_pwl.primitive_walk_counts(graph, 10**12, walk_budget=1000)
+        assert time.perf_counter() - start < 1
 
 
 def reference_minimal_diameter_orbit(f, k, within=None):
