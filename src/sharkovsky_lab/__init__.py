@@ -44,6 +44,7 @@ from .exact_pwl import (
     as_fraction,
     fixed_points_of_iterate,
     is_orbit_of,
+    iter_closed_walks,
     least_period,
     markov_partition,
     orbit_of,
@@ -57,7 +58,6 @@ from .pattern_dynamics import (
     closed_walks,
     connect_the_dots,
     is_stefan_pattern,
-    iter_closed_walks,
     loop_to_intervals,
     markov_graph,
     random_pattern,

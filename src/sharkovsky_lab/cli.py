@@ -171,6 +171,8 @@ def _cmd_witness(args) -> None:
 
 
 def _cmd_tent(args) -> None:
+    if args.action == "truncate":
+        _require_listable(args.spectrum, args.walk_budget, "periods")
     base = tent.tent_map()
     if args.action in ("pk", "truncate"):
         orbit = tent.minimal_diameter_orbit(base, args.k, piece_budget=args.piece_budget)
@@ -262,8 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="cap on enumerated closed walks, on the walk-count "
         "additions of spectrum's default route and of truncation "
-        "spectra, and on the items that 'forced --upto', 'pattern stefan' "
-        "and 'witness odd --period' list (env SHARKOVSKY_WALK_BUDGET)",
+        "spectra, and on the items that 'forced --upto', 'pattern stefan', "
+        "'witness odd --period' and 'tent truncate --spectrum' list "
+        "(env SHARKOVSKY_WALK_BUDGET)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -866,7 +866,7 @@ def orbit_of(f: PwlMap, y: RationalLike, max_steps: int = 10_000) -> Orbit:
     """
     y = as_fraction(y)
     start = _q(y)
-    seen, visited, current = [y], {start}, y
+    visited, current = {start}, y
     for _ in range(max_steps):
         current = f(current)
         q = _q(current)
@@ -874,7 +874,6 @@ def orbit_of(f: PwlMap, y: RationalLike, max_steps: int = 10_000) -> Orbit:
             return Orbit._of(tuple(sorted(visited, key=_sort_key(visited))))
         if q in visited:
             raise NotAnOrbit(f"{y} is pre-periodic, not periodic")
-        seen.append(current)
         visited.add(q)
     raise NotAnOrbit(f"{y} did not return within {max_steps} steps")
 
@@ -1126,6 +1125,37 @@ def markov_partition(f: PwlMap, piece_budget: int = DEFAULT_PIECE_BUDGET) -> Mar
     markov_graph(pattern).  PieceBudgetExceeded past piece_budget points.
     """
     return _partition(f._pairs, piece_budget)[1]
+
+
+def iter_closed_walks(graph: MarkovGraph, n: int) -> Iterator[tuple[int, ...]]:
+    """Closed walks of length n, one per rotation class: the least rotations, ascending.
+
+    The necklace generator of Fredricksen, Kessler and Maiorana, in the
+    prefix-period form of Cattell et al. (J. Algorithms 37, 2000), visits
+    each prenecklace (a prefix of a least rotation) once, in lexicographic
+    order, with p the length of its longest Lyndon prefix: a_1 .. a_t
+    extends by a_(t+1) >= a_(t+1-p), keeping p if they are equal, else p
+    becomes t + 1.  A prenecklace of length n is a least rotation exactly
+    when p | n.  Every prefix of a closed walk is a path, so extending only
+    along edges loses none, and the closing edge decides the rest.
+    """
+    if n < 1:
+        raise ValueError("walk length must be >= 1")
+    succ = graph._successors
+    # stack[t] yields (node, p) for position t: explicit, so no recursion limit caps n
+    walk: list[int] = []
+    stack = [iter([(i, 1) for i in range(1, graph.node_count + 1)])]
+    while stack:
+        node, p = next(stack[-1], (0, 0))
+        if not node:  # position exhausted: back up one
+            stack.pop()
+            del walk[-1:]
+        elif len(walk) + 1 < n:
+            walk.append(node)
+            low, t = walk[-p], len(walk)
+            stack.append(iter([(i, p if i == low else t + 1) for i in succ[node] if i >= low]))
+        elif n % p == 0 and graph.has_edge(node, walk[0] if walk else node):
+            yield (*walk, node)
 
 
 def primitive_walk_counts(

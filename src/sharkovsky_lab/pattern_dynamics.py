@@ -31,6 +31,7 @@ from .exact_pwl import (
     PwlMap,
     connect_the_dots_points,
     follow_cycle,
+    iter_closed_walks,
     periodic_orbits_upto,
     primitive_walk_counts,
 )
@@ -143,40 +144,6 @@ def markov_graph(pattern: CyclicPattern) -> MarkovGraph:
         for j in range(lo, hi):
             edges.add((i, j))
     return MarkovGraph(m - 1, frozenset(edges))
-
-
-def _least_rotation(seq: tuple[int, ...]) -> tuple[int, ...]:
-    return min(seq[i:] + seq[:i] for i in range(len(seq)))
-
-
-def iter_closed_walks(graph: MarkovGraph, n: int) -> Iterator[tuple[int, ...]]:
-    """Closed walks of length n, one canonical representative per rotation class.
-
-    Representatives are the lexicographically least rotations, produced in
-    ascending order.
-    """
-    if n < 1:
-        raise ValueError("walk length must be >= 1")
-    succ = graph._successors
-    for start in range(1, graph.node_count + 1):
-        # depth-first with an explicit stack: stack[j] yields the candidates
-        # for position j of the walk, none below start
-        later = {i: [j for j in s if j >= start] for i, s in succ.items()}
-        path: list[int] = []
-        stack = [iter((start,))]
-        while stack:
-            nxt = next(stack[-1], None)
-            if nxt is None:
-                stack.pop()
-                if path:
-                    path.pop()
-            elif len(path) + 1 < n:
-                path.append(nxt)
-                stack.append(iter(later[nxt]))
-            else:
-                walk = (*path, nxt)
-                if graph.has_edge(nxt, start) and walk == _least_rotation(walk):
-                    yield walk
 
 
 def _budgeted_walks(

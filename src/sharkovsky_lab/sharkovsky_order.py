@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 
 class Ordering(enum.Enum):
@@ -86,8 +86,10 @@ def iterate_least_period(m: int, n: int) -> int:
 
 
 def divisors(n: int) -> list[int]:
+    """The divisors of n, ascending: those up to isqrt(n), then their cofactors."""
     _check_positive(n)
-    return [d for d in range(1, n + 1) if n % d == 0]
+    low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return low + [n // d for d in reversed(low) if d * d != n]
 
 
 def lift_least_periods(k: int, n: int) -> set[int]:

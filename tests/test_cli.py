@@ -298,6 +298,22 @@ class TestTent:
         assert len(rows) == 100000 and rows[-1] == "100000,0,false"
         assert rows[0] == "1,1,false" and {r.split(",", 1)[1] for r in rows[1:]} == {"0,false"}
 
+    def test_truncation_rows_meet_the_listing_check(self, capsys, monkeypatch):
+        # one row per period: past the walk budget the query exits 3 before
+        # any orbit is found or any walk counted
+        def refuse(*args, **kwargs):
+            raise AssertionError("the listing check comes before anything is built")
+
+        monkeypatch.setattr(tent_constructions, "minimal_diameter_orbit", refuse)
+        code, out, err = invoke(capsys, "tent", "truncate", "1", "--spectrum", "1000000000000")
+        assert code == 3 and not out
+        assert err == "budget exceeded: more than 1000000 periods to list\n"
+        code, out, err = invoke(
+            capsys, "--walk-budget", "10", "tent", "truncate", "1", "--spectrum", "20"
+        )
+        assert code == 3 and not out
+        assert err == "budget exceeded: more than 10 periods to list\n"
+
     def test_pk_overrun_runs_no_chain(self, capsys, monkeypatch):
         # tent^21 has 2^21 + 1 breakpoints, over the default piece budget
         def refuse(*args):

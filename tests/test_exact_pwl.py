@@ -1584,9 +1584,9 @@ def reference_primitive_walk_counts(graph, upto, walk_budget=exact_pwl.DEFAULT_W
 
 
 @st.composite
-def markov_graphs(draw):
-    """0 to 8 nodes, with self-loops and zero rows; some nilpotent (i -> j only for i < j)."""
-    n = draw(st.integers(0, 8))
+def markov_graphs(draw, max_nodes=8):
+    """0 to max_nodes nodes, with self-loops and zero rows; some nilpotent (i -> j only for i < j)."""
+    n = draw(st.integers(0, max_nodes))
     nodes = st.integers(1, max(n, 1))
     edges = draw(st.frozensets(st.tuples(nodes, nodes), max_size=n * n)) if n else frozenset()
     if draw(st.booleans()):
@@ -1648,6 +1648,73 @@ class TestPackedWalkCounts:
         with pytest.raises(WalkBudgetExceeded, match="walk-count additions"):
             exact_pwl.primitive_walk_counts(graph, 10**12, walk_budget=1000)
         assert time.perf_counter() - start < 1
+
+
+def reference_closed_walks(graph, n):
+    """Every closed walk from each start, kept when it is its own least rotation."""
+    succ = graph._successors
+    for start in range(1, graph.node_count + 1):
+        later = {i: [j for j in s if j >= start] for i, s in succ.items()}
+        path = []
+        stack = [iter((start,))]
+        while stack:
+            nxt = next(stack[-1], None)
+            if nxt is None:
+                stack.pop()
+                if path:
+                    path.pop()
+            elif len(path) + 1 < n:
+                path.append(nxt)
+                stack.append(iter(later[nxt]))
+            else:
+                walk = (*path, nxt)
+                rotations = (walk[i:] + walk[:i] for i in range(n))
+                if graph.has_edge(nxt, start) and walk == min(rotations):
+                    yield walk
+
+
+def path_count(graph, n):
+    """The walks of n nodes, open or closed: what the reference searches at most."""
+    counts = [1] * graph.node_count
+    for _ in range(n - 1):
+        counts = [
+            sum(counts[j - 1] for j in graph.successors(i))
+            for i in range(1, graph.node_count + 1)
+        ]
+    return sum(counts)
+
+
+class TestNecklaceWalks:
+    """iter_closed_walks generates least rotations directly, as the rotation filter kept them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(markov_graphs(max_nodes=7), st.integers(1, 9))
+    def test_matches_the_reference(self, graph, n):
+        # dense graphs are checked at the longest length whose paths the
+        # reference can search quickly
+        n = max(k for k in range(1, n + 1) if path_count(graph, k) <= 20_000)
+        assert list(exact_pwl.iter_closed_walks(graph, n)) == list(
+            reference_closed_walks(graph, n)
+        )
+
+    def test_matches_the_reference_on_every_small_covering_graph(self):
+        for m in range(2, 7):
+            for pattern in all_patterns(m):
+                graph = pattern_dynamics.markov_graph(pattern)
+                for n in range(1, 9):
+                    assert list(exact_pwl.iter_closed_walks(graph, n)) == list(
+                        reference_closed_walks(graph, n)
+                    ), (pattern, n)
+
+    def test_a_long_self_loop_is_one_walk_at_once(self):
+        # a quadratic rotation test on this one walk would take seconds
+        start = time.perf_counter()
+        walks = list(exact_pwl.iter_closed_walks(complete_graph(1), 20_000))
+        assert walks == [(1,) * 20_000]
+        assert time.perf_counter() - start < 1
+
+    def test_one_enumerator_serves_both_modules(self):
+        assert pattern_dynamics.iter_closed_walks is exact_pwl.iter_closed_walks
 
 
 def reference_minimal_diameter_orbit(f, k, within=None):

@@ -1,6 +1,7 @@
 """The forcing order, its key arithmetic, and cross-checks on real dynamics."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from sharkovsky_lab import (
     all_patterns,
     connect_the_dots,
     decompose,
+    divisors,
     forced_periods_upto,
     forces,
     iterate_least_period,
@@ -139,6 +141,18 @@ class TestIteratePeriods:
     )
     def test_lift_least_periods(self, k, n, expected):
         assert lift_least_periods(k, n) == expected
+
+    def test_divisors_match_the_full_scan(self):
+        for n in range(1, 3001):
+            assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
+    def test_divisors_of_a_large_number_come_at_once(self):
+        # the scan stops at isqrt(n) = 10^5 and appends the cofactors
+        start = time.perf_counter()
+        found = divisors(10**10)
+        assert time.perf_counter() - start < 1
+        assert len(found) == 121 and found == sorted(found)
+        assert found[:4] == [1, 2, 4, 5] and found[-1] == 10**10
 
     @given(positive, st.integers(min_value=1, max_value=60))
     def test_lift_contains_the_unlifted_consistency(self, m, n):

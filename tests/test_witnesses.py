@@ -1,5 +1,6 @@
 """Constructive witnesses: crossed pairs, interval cycles, odd-orbit forcing."""
 
+import ast
 import hashlib
 import os
 import random
@@ -153,6 +154,17 @@ class TestPeriodTwoFromOrbit:
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert run.stdout.strip() == "refused", run.stderr
+
+    def test_the_library_holds_no_assert_statement(self):
+        # python -O strips every assert, so none may carry a certificate
+        package = Path(sharkovsky_lab.__file__).resolve().parent
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Assert)
+        ]
+        assert not found
 
 
 def reference_period2_point(f, window):
