@@ -17,9 +17,12 @@ budget must be a positive integer; anything else is a usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+from enum import Enum
+from fractions import Fraction
 from typing import NoReturn, Optional, Sequence
 
 from . import pattern_dynamics as patterns
@@ -116,8 +119,15 @@ def _cmd_pattern(args) -> None:
         )
 
 
-def _fmt_opt(value) -> Optional[str]:
-    return None if value is None else format_rational(value)
+def _wire(obj, skip: set[str]) -> dict:
+    """A dataclass's fields less skip, as JSON: rationals "p/q", enums by value."""
+    wire = {}
+    for name in (field.name for field in dataclasses.fields(obj) if field.name not in skip):
+        value = getattr(obj, name)
+        if isinstance(value, Fraction):
+            value = format_rational(value)
+        wire[name] = value.value if isinstance(value, Enum) else value
+    return wire
 
 
 def _cmd_witness(args) -> None:
@@ -128,18 +138,7 @@ def _cmd_witness(args) -> None:
         if args.period is not None:
             raise PreconditionError("--period applies only to 'witness odd'")
         w = witnesses.period_two_from_orbit(f, realization)
-        period, point = 2, w.point
-        payload = {
-            "pattern": pattern.cycle_string(),
-            "case": w.case.value,
-            "lower": format_rational(w.lower),
-            "upper": format_rational(w.upper),
-            "first_fixed": format_rational(w.first_fixed),
-            "upper_preimage": format_rational(w.upper_preimage),
-            "left_fixed": _fmt_opt(w.left_fixed),
-            "lower_preimage": _fmt_opt(w.lower_preimage),
-            "witness": format_rational(point),
-        }
+        period, point, payload = 2, w.point, _wire(w, {"point"})
     else:  # odd
         if args.period is None:
             raise PreconditionError("--period is required for 'witness odd'")
@@ -147,21 +146,8 @@ def _cmd_witness(args) -> None:
         _require_listable(args.period, args.walk_budget, "orbit points")
         period, trace = args.period, witnesses.analyze_odd_orbit(f, realization)
         point = witnesses.witness_from_trace(f, trace, period, piece_budget=args.piece_budget)
-        payload = {
-            "pattern": pattern.cycle_string(),
-            "period": args.period,
-            "case": trace.case.value,
-            "mirrored": trace.mirrored,
-            "switch": trace.switch,
-            "straddle": trace.straddle,
-            "escape_time": trace.escape_time,
-            "rebound_time": trace.rebound_time,
-            "fixed_point": format_rational(trace.fixed_point),
-            "fixed_preimage": _fmt_opt(trace.fixed_preimage),
-            "upper_relay": _fmt_opt(trace.upper_relay),
-            "lower_relay": _fmt_opt(trace.lower_relay),
-            "witness": format_rational(point),
-        }
+        payload = {"period": period, **_wire(trace, {"map", "orbit"})}
+    payload.update(pattern=pattern.cycle_string(), witness=format_rational(point))
     if args.json:
         # the period is certified, so the walk returns within that many steps
         payload["orbit"] = orbit_to_list(orbit_of(f, point, max_steps=period))

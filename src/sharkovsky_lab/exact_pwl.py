@@ -228,27 +228,6 @@ def _fraction(q: Q) -> Fraction:
     return Fraction(q[0], q[1])
 
 
-def _lerp(
-    a0n: int, a0d: int, b0n: int, b0d: int,
-    a1n: int, a1d: int, b1n: int, b1d: int,
-    tn: int, td: int,
-) -> Q:
-    """b at a = t on the line through (a0, b0) and (a1, b1), a0 != a1.
-
-    The arguments need positive denominators but not lowest terms.  With
-    (a, b) = (x, y) this evaluates a lap; with (a, b) = (y, x) it finds
-    where a lap takes a value.
-    """
-    # b0 + (b1 - b0) (t - a0) / (a1 - a0) over the denominator b0d b1d td da
-    da = a1n * a0d - a0n * a1d
-    num = b0n * b1d * td * da + (b1n * b0d - b0n * b1d) * (tn * a0d - a0n * td) * a1d
-    den = b0d * b1d * td * da
-    g = gcd(num, den)
-    if den < 0:
-        g = -g
-    return num // g, den // g
-
-
 def _le(a: Q, b: Q) -> bool:
     """a <= b; a breakpoint stands for its x here."""
     return a[0] * b[1] <= b[0] * a[1]
@@ -276,12 +255,33 @@ def _locate(pairs: Pairs, n: int, d: int) -> int:
     return lo
 
 
+def _lap_form(p0: Breakpoint, p1: Breakpoint) -> tuple[int, int, int]:
+    """(p, r, q) such that the lap from p0 to p1 is x -> (p x + r) / q, q > 0.
+
+    With each breakpoint's x and y swapped: a nonflat lap's inverse, q of either sign.
+    """
+    (x0n, x0d, y0n, y0d), (x1n, x1d, y1n, y1d) = p0, p1
+    p = (y1n * y0d - y0n * y1d) * x0d * x1d  # each over x0d x1d y0d y1d
+    r = y0n * y1d * x1n * x0d - y1n * y0d * x0n * x1d
+    return p, r, (x1n * x0d - x0n * x1d) * y0d * y1d
+
+
+def _at(form: tuple[int, int, int], n: int, d: int) -> Q:
+    """A _lap_form (p, r, q) at n/d: (p n + r d) / (q d) in lowest terms, denominator > 0."""
+    p, r, q = form
+    num, den = p * n + r * d, q * d
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
 def _value_at(pairs: Pairs, i: int, n: int, d: int) -> Q:
     """f(n/d) for a point of the domain with i == _locate(pairs, n, d)."""
     p = pairs[i - 1]
     if p[0] == n and p[1] == d:
         return p[2], p[3]
-    return _lerp(*p, *pairs[i], n, d)
+    return _at(_lap_form(p, pairs[i]), n, d)
 
 
 def _index(pairs: Pairs, n: int, d: int) -> int:
@@ -295,14 +295,6 @@ def _index(pairs: Pairs, n: int, d: int) -> int:
 def _eval_pairs(pairs: Pairs, x: Q) -> Q:
     n, d = x
     return _value_at(pairs, _index(pairs, n, d), n, d)
-
-
-def _lap_form(p0: Breakpoint, p1: Breakpoint) -> tuple[int, int, int]:
-    """(p, r, d) such that the lap from p0 to p1 is x -> (p x + r) / d, d > 0."""
-    (x0n, x0d, y0n, y0d), (x1n, x1d, y1n, y1d) = p0, p1
-    p = (y1n * y0d - y0n * y1d) * x0d * x1d  # each over x0d x1d y0d y1d
-    r = y0n * y1d * x1n * x0d - y1n * y0d * x0n * x1d
-    return p, r, (x1n * x0d - x0n * x1d) * y0d * y1d
 
 
 def _eval_ascending(pairs: Pairs, xs: list[Q]) -> list[Q]:
@@ -326,7 +318,8 @@ def _span(pairs: Pairs) -> str:
 
 def _crossing(p0: Breakpoint, p1: Breakpoint, c: Q) -> Q:
     """The x at which the lap from p0 to p1 takes the value c (not a flat lap)."""
-    return _lerp(p0[2], p0[3], p0[0], p0[1], p1[2], p1[3], p1[0], p1[1], c[0], c[1])
+    (x0n, x0d, y0n, y0d), (x1n, x1d, y1n, y1d) = p0, p1
+    return _at(_lap_form((y0n, y0d, x0n, x0d), (y1n, y1d, x1n, x1d)), *c)
 
 
 def _canonical(points: Iterable[Breakpoint]) -> Pairs:
@@ -409,9 +402,7 @@ def _compose(outer: Pairs, inner: Pairs, piece_budget: int) -> Pairs:
         crossed = outer[i0:below1] if dy > 0 else outer[i1:below0][::-1]
         if crossed:
             # x = (a y + b) / c on the lap, c > 0
-            a = (x1n * x0d - x0n * x1d) * y0d * y1d
-            b = x0n * x1d * y1n * y0d - x1n * x0d * y0n * y1d
-            c = dy * x0d * x1d
+            a, b, c = _lap_form((y0n, y0d, x0n, x0d), (y1n, y1d, x1n, x1d))
             if c < 0:
                 a, b, c = -a, -b, -c
             cuts = []
@@ -922,7 +913,7 @@ def _lap_point(
     candidates = [ordered[0]]
     for a, b in zip(ordered, ordered[1:]):
         # the midpoint: the value at 1 of the line through (0, a) and (2, b)
-        candidates += [_lerp(0, 1, *a, 2, 1, *b, 1, 1), b]
+        candidates += [_at(_lap_form((0, 1, *a), (2, 1, *b)), 1, 1), b]
     for c in candidates:
         if len(_orbit_walk(f, c, k)) == k:
             return c
@@ -1075,6 +1066,20 @@ class MarkovGraph:
     node_count: int
     edges: frozenset[tuple[int, int]]
 
+    @classmethod
+    def from_images(cls, image: list[int]) -> "MarkovGraph":
+        """The graph of points 0, 1, ... with point i mapped to point image[i].
+
+        Node i lies between points i - 1 and i, and covers every node
+        between its ends' images: none when they are one point.
+        """
+        edges = frozenset(
+            (i, j)
+            for i, (a, b) in enumerate(zip(image, image[1:]), start=1)
+            for j in range(min(a, b) + 1, max(a, b) + 1)
+        )
+        return cls(len(image) - 1, edges)
+
     @cached_property
     def _successors(self) -> dict[int, list[int]]:
         """Each node's successors, ascending, built once per graph."""
@@ -1108,12 +1113,7 @@ def _partition(f: Pairs, piece_budget: int) -> tuple[list[int], MarkovGraph]:
     points = sorted(closure, key=_sort_key(closure))
     position = {y: i for i, y in enumerate(points)}
     image = [position[v] for v in _eval_ascending(f, points)]
-    edges = frozenset(
-        (i, j)
-        for i, (a, b) in enumerate(zip(image, image[1:]), start=1)
-        for j in range(min(a, b) + 1, max(a, b) + 1)
-    )
-    return image, MarkovGraph(len(points) - 1, edges)
+    return image, MarkovGraph.from_images(image)
 
 
 def markov_partition(f: PwlMap, piece_budget: int = DEFAULT_PIECE_BUDGET) -> MarkovGraph:
@@ -1171,7 +1171,8 @@ def primitive_walk_counts(
     addition, entries and divisor terms alike, and per 64-bit word of the
     largest entry M of the power before, so the budget bounds the counts'
     time and size.  Once A^k = 0, A is nilpotent: every trace so far was 0
-    and every later one is, so the remaining counts are 0 and spend nothing.
+    and every later one is, so the remaining counts are 0 and spend nothing;
+    past walk_budget of them the list is refused, by the CLI's listing rule.
 
     Row i is one int, entry j in bits [j w, (j + 1) w) and the row sum s_i
     in field n, so one addition adds n entries and keeps s_i exact.  Sums
@@ -1213,6 +1214,8 @@ def primitive_walk_counts(
             trace += (row >> i * width) & mask
         rows = power
         if not any(rows):
+            if upto > walk_budget:
+                raise WalkBudgetExceeded(f"more than {walk_budget} walk counts to list")
             return prim + [0] * (upto + 1 - k)
         prim.append(trace - sum(prim[d] for d in shorter))
         for d in (*shorter, k):

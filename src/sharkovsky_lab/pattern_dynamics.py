@@ -135,15 +135,7 @@ def markov_graph(pattern: CyclicPattern) -> MarkovGraph:
 
     markov_partition(connect_the_dots(pattern)), read off the ranks.
     """
-    m = pattern.size
-    edges = set()
-    for i in range(1, m):
-        a = pattern.image(i)
-        b = pattern.image(i + 1)
-        lo, hi = min(a, b), max(a, b)
-        for j in range(lo, hi):
-            edges.add((i, j))
-    return MarkovGraph(m - 1, frozenset(edges))
+    return MarkovGraph.from_images([r - 1 for r in pattern.mapping])
 
 
 def _budgeted_walks(

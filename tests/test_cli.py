@@ -152,6 +152,32 @@ class TestWitness:
         assert payload["mirrored"] is True
         assert payload["case"] == "PeriodThree"
 
+    @pytest.mark.parametrize(
+        "pattern, case, mirrored",
+        [
+            ("1>2>3", "PeriodThree", False),
+            ("1>3>2", "PeriodThree", True),
+            ("1>3>4>2>5", "ReboundBelow", False),
+            ("1>5>2>4>3", "ReboundBelow", True),
+        ],
+    )
+    def test_the_json_keys_are_pinned(self, capsys, pattern, case, mirrored):
+        # the witness dataclasses are the wire format's list of fields, so a
+        # new field must show here
+        payload = invoke_json(capsys, "witness", "period2", "--pattern", pattern, "--json")
+        assert set(payload) == {
+            "schema", "pattern", "case", "lower", "upper", "first_fixed",
+            "upper_preimage", "left_fixed", "lower_preimage", "witness", "orbit",
+        }
+        argv = ("witness", "odd", "--pattern", pattern, "--period", "6", "--json")
+        payload = invoke_json(capsys, *argv)
+        assert set(payload) == {
+            "schema", "pattern", "period", "case", "mirrored", "switch", "straddle",
+            "escape_time", "rebound_time", "fixed_point", "fixed_preimage",
+            "upper_relay", "lower_relay", "witness", "orbit",
+        }
+        assert (payload["case"], payload["mirrored"]) == (case, mirrored)
+
     def test_odd_requires_period(self, capsys):
         code, _, err = invoke(capsys, "witness", "odd", "--pattern", "1>2>3")
         assert code == 2 and "period" in err

@@ -250,20 +250,22 @@ def reference_iterate(f, n, piece_budget=exact_pwl.DEFAULT_PIECE_BUDGET):
 
 
 def lerp_fixed_structure(pairs):
-    """_fixed_structure as it solved each root through _lerp before."""
+    """_fixed_structure with each root solved in Fraction: x0 + (x1 - x0) g0 / (g0 - g1)."""
     points, identity = [], []
     (x0n, x0d, y0n, y0d), rest = pairs[0], pairs[1:]
-    g0n, g0d = y0n * x0d - x0n * y0d, y0d * x0d  # f(x0) - x0
+    g0 = F(y0n, y0d) - F(x0n, x0d)  # f(x0) - x0
     for x1n, x1d, y1n, y1d in rest:
-        g1n, g1d = y1n * x1d - x1n * y1d, y1d * x1d
-        if g0n == 0:
+        g1 = F(y1n, y1d) - F(x1n, x1d)
+        if g0 == 0:
             points.append((x0n, x0d))
-            if g1n == 0:
+            if g1 == 0:
                 identity.append(((x0n, x0d), (x1n, x1d)))
-        elif g1n != 0 and (g0n < 0) != (g1n < 0):
-            points.append(exact_pwl._lerp(g0n, g0d, x0n, x0d, g1n, g1d, x1n, x1d, 0, 1))
-        x0n, x0d, g0n, g0d = x1n, x1d, g1n, g1d
-    if g0n == 0:
+        elif g1 != 0 and (g0 < 0) != (g1 < 0):
+            x0 = F(x0n, x0d)
+            root = x0 + (F(x1n, x1d) - x0) * g0 / (g0 - g1)
+            points.append((root.numerator, root.denominator))
+        x0n, x0d, g0 = x1n, x1d, g1
+    if g0 == 0:
         points.append((x0n, x0d))
     return points, identity
 
@@ -795,6 +797,40 @@ def maps_and_windows(draw):
     return f, a, b
 
 
+RATIONALS = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**12)
+
+
+@st.composite
+def laps(draw):
+    """(x0, y0, x1, y1) with x0 < x1: a rising, falling or flat lap."""
+    x0, x1 = sorted(draw(st.lists(RATIONALS, min_size=2, max_size=2, unique=True)))
+    y0 = draw(RATIONALS)
+    rise = draw(st.fractions(min_value=0, max_value=10**6, max_denominator=10**12))
+    y1 = y0 + draw(st.sampled_from((1, -1, 0))) * rise
+    return x0, y0, x1, y1
+
+
+class TestLapForm:
+    """_lap_form and _at, the kernel's one statement of a lap's line, against Fraction."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(laps(), RATIONALS, RATIONALS)
+    def test_every_use_of_the_form_is_the_fraction_line(self, lap, t, c):
+        _q = exact_pwl._q
+        x0, y0, x1, y1 = lap
+        p0, p1 = (*_q(x0), *_q(y0)), (*_q(x1), *_q(y1))
+        y = y0 + (y1 - y0) * (t - x0) / (x1 - x0)
+        assert exact_pwl._at(exact_pwl._lap_form(p0, p1), *_q(t)) == _q(y)
+        # _lap_point's midpoint: the line through (0, a) and (2, b) at 1
+        midpoint = exact_pwl._lap_form((0, 1, *_q(y0)), (2, 1, *_q(y1)))
+        assert exact_pwl._at(midpoint, 1, 1) == _q((y0 + y1) / 2)
+        if y0 != y1:
+            inverse = exact_pwl._lap_form((*_q(y0), *_q(x0)), (*_q(y1), *_q(x1)))
+            assert exact_pwl._at(inverse, *_q(y)) == _q(t)
+            x = x0 + (x1 - x0) * (c - y0) / (y1 - y0)
+            assert exact_pwl._crossing(p0, p1, _q(c)) == _q(x)
+
+
 class TestIntegerKernel:
     """The integer kernel gives what the Fraction kernel before it gave."""
 
@@ -920,7 +956,7 @@ class TestIntegerKernel:
     @settings(max_examples=200, deadline=None)
     @given(general_maps(), st.integers(min_value=1, max_value=3))
     def test_fixed_structure_matches_the_lerp_solve(self, f, n):
-        # the same integer pairs, root for root, as the _lerp solve gave
+        # the same integer pairs, root for root, as the Fraction solve gives
         g = f.iterate(n)._pairs
         assert exact_pwl._fixed_structure(g) == lerp_fixed_structure(g)
 
@@ -1574,6 +1610,8 @@ def reference_primitive_walk_counts(graph, upto, walk_budget=exact_pwl.DEFAULT_W
             [sum(c) for c in zip(*(power[j - 1] for j in succ[i]))] or zero for i in nodes
         ]
         if not any(map(any, power)):
+            if upto > walk_budget:
+                raise WalkBudgetExceeded(f"more than {walk_budget} walk counts to list")
             return prim + [0] * (upto + 1 - k)
         trace = sum(row[i] for i, row in enumerate(power))
         prim.append(trace - sum(prim[d] for d in shorter))
@@ -1641,6 +1679,19 @@ class TestPackedWalkCounts:
             reference_primitive_walk_counts(graph, upto, lo - 1)
         with pytest.raises(WalkBudgetExceeded, match=f"^{exc.value}$"):
             exact_pwl.primitive_walk_counts(graph, upto, lo - 1)
+
+    def test_a_vanishing_list_past_the_budget_is_refused_at_once(self):
+        # A = 0 from length 1 on: nothing is counted, but 10^12 zeros would
+        # still be listed
+        clamp = truncate_at_orbit(TENT, minimal_diameter_orbit(TENT, 1)).map
+        start = time.perf_counter()
+        for call in (
+            lambda: exact_pwl.primitive_walk_counts(exact_pwl.MarkovGraph(1, frozenset()), 10**12),
+            lambda: period_spectrum(clamp, 10**12),
+        ):
+            with pytest.raises(WalkBudgetExceeded, match="^more than 1000000 walk counts to list$"):
+                call()
+        assert time.perf_counter() - start < 1
 
     def test_a_huge_bound_is_refused_by_the_budget_at_once(self):
         graph = pattern_dynamics.markov_graph(CyclicPattern.from_cycle_string("1>3>2"))

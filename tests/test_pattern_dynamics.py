@@ -124,6 +124,14 @@ class TestMarkovGraph:
         for n in range(4, 11):
             assert any(3 in walk for walk in iter_closed_walks(graph, n))
 
+    def test_from_images_covers_between_each_nodes_image_ends(self):
+        # points 0..4 map to points 2, 4, 1, 1, 3: node 2 (points 1 to 2)
+        # reverses, and node 3's ends share the image 1, so it covers nothing
+        graph = MarkovGraph.from_images([2, 4, 1, 1, 3])
+        assert graph.node_count == 4
+        assert sorted(graph.edges) == [(1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (4, 2), (4, 3)]
+        assert graph.successors(3) == []
+
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
     def test_edges_agree_with_covering_exhaustively(self, m):
         for pattern in all_patterns(m):
