@@ -21,8 +21,6 @@ import dataclasses
 import json
 import os
 import sys
-from enum import Enum
-from fractions import Fraction
 from typing import NoReturn, Optional, Sequence
 
 from . import pattern_dynamics as patterns
@@ -32,10 +30,10 @@ from .errors import (
     BudgetError, InvalidPattern, PreconditionError, SharkovskyLabError, WalkBudgetExceeded,
 )
 from .exact_pwl import DEFAULT_PIECE_BUDGET, Orbit, connect_the_dots_points, orbit_of
-from .serialize import SCHEMA, format_rational, orbit_to_list, pwlmap_to_obj
+from .serialize import SCHEMA, to_wire
 from .sharkovsky_order import forced_periods_upto, sharkovsky_compare
 
-SPECTRUM_CSV_COLUMNS = "period,orbit_count,continuum"
+SPECTRUM_CSV_COLUMNS = ",".join(field.name for field in dataclasses.fields(tent.SpectrumEntry))
 
 
 def _emit_json(obj: dict) -> None:
@@ -63,13 +61,6 @@ def _positive_int(text: str) -> int:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-
-
-def _spectrum_rows(entries) -> list[dict]:
-    return [
-        {"period": e.period, "orbit_count": e.orbit_count, "continuum": e.continuum}
-        for e in entries
-    ]
 
 
 def _cmd_compare(args) -> None:
@@ -119,17 +110,6 @@ def _cmd_pattern(args) -> None:
         )
 
 
-def _wire(obj, skip: set[str]) -> dict:
-    """A dataclass's fields less skip, as JSON: rationals "p/q", enums by value."""
-    wire = {}
-    for name in (field.name for field in dataclasses.fields(obj) if field.name not in skip):
-        value = getattr(obj, name)
-        if isinstance(value, Fraction):
-            value = format_rational(value)
-        wire[name] = value.value if isinstance(value, Enum) else value
-    return wire
-
-
 def _cmd_witness(args) -> None:
     pattern = _parse_pattern(args.pattern)
     f = patterns.connect_the_dots(pattern)
@@ -138,7 +118,7 @@ def _cmd_witness(args) -> None:
         if args.period is not None:
             raise PreconditionError("--period applies only to 'witness odd'")
         w = witnesses.period_two_from_orbit(f, realization)
-        period, point, payload = 2, w.point, _wire(w, {"point"})
+        period, point, payload = 2, w.point, to_wire(w, {"point"})
     else:  # odd
         if args.period is None:
             raise PreconditionError("--period is required for 'witness odd'")
@@ -146,11 +126,11 @@ def _cmd_witness(args) -> None:
         _require_listable(args.period, args.walk_budget, "orbit points")
         period, trace = args.period, witnesses.analyze_odd_orbit(f, realization)
         point = witnesses.witness_from_trace(f, trace, period, piece_budget=args.piece_budget)
-        payload = {"period": period, **_wire(trace, {"map", "orbit"})}
-    payload.update(pattern=pattern.cycle_string(), witness=format_rational(point))
+        payload = {"period": period, **to_wire(trace, {"map", "orbit"})}
+    payload.update(pattern=pattern.cycle_string(), witness=to_wire(point))
     if args.json:
         # the period is certified, so the walk returns within that many steps
-        payload["orbit"] = orbit_to_list(orbit_of(f, point, max_steps=period))
+        payload["orbit"] = to_wire(orbit_of(f, point, max_steps=period))
         _emit_json(payload)
     else:
         print(f"least period {period} point: {payload['witness']}")
@@ -163,13 +143,7 @@ def _cmd_tent(args) -> None:
     if args.action in ("pk", "truncate"):
         orbit = tent.minimal_diameter_orbit(base, args.k, piece_budget=args.piece_budget)
     if args.action == "pk":
-        _emit_json(
-            {
-                "k": args.k,
-                "orbit": orbit_to_list(orbit),
-                "diameter": format_rational(orbit.diameter),
-            }
-        )
+        _emit_json({"k": args.k, "orbit": to_wire(orbit), "diameter": to_wire(orbit.diameter)})
     elif args.action == "truncate":
         truncated = tent.truncate_at_orbit(base, orbit)
         entries = tent.period_spectrum(
@@ -181,29 +155,14 @@ def _cmd_tent(args) -> None:
         if args.format == "csv":
             print(SPECTRUM_CSV_COLUMNS)
             for e in entries:
-                print(f"{e.period},{e.orbit_count},{str(e.continuum).lower()}")
+                print(",".join(map(json.dumps, to_wire(e).values())))
         else:
-            _emit_json(
-                {
-                    "k": args.k,
-                    "bounds": [
-                        format_rational(truncated.bounds.lo),
-                        format_rational(truncated.bounds.hi),
-                    ],
-                    "map": pwlmap_to_obj(truncated.map),
-                    "spectrum": _spectrum_rows(entries),
-                }
-            )
+            wire = to_wire(truncated, {"base", "anchor_orbit"})
+            _emit_json({"k": args.k, **wire, "spectrum": to_wire(entries)})
     else:  # chain
         chain = tent.doubling_chain(args.levels, piece_budget=args.piece_budget)
-        _emit_json(
-            {
-                "levels": [orbit_to_list(o) for o in chain.levels],
-                "q0": format_rational(chain.q0),
-                "q1": format_rational(chain.q1),
-                "clamped_map": pwlmap_to_obj(tent.t_infinity_level(chain)),
-            }
-        )
+        clamped = to_wire(tent.t_infinity_level(chain))
+        _emit_json({**to_wire(chain, {"base"}), "clamped_map": clamped})
 
 
 def _cmd_spectrum(args) -> None:

@@ -370,8 +370,8 @@ def _compose(outer: Pairs, inner: Pairs, piece_budget: int) -> Pairs:
     where it crosses a breakpoint x of outer, in the order the lap meets
     them, and the cut takes that breakpoint's y; the cut's x comes from
     the lap's inverse y -> (a y + b) / c, formed once per crossing lap.
-    A breakpoint of inner whose value is a breakpoint x of outer takes
-    that breakpoint's y too; only other values are located and evaluated.
+    Each value of inner is located among outer's x; one that is a breakpoint
+    x of outer takes that breakpoint's y, and only others are evaluated.
 
     The points come in increasing x, and a cut is never collinear with its
     neighbours: the two outer laps meeting there have different slopes,
@@ -383,20 +383,22 @@ def _compose(outer: Pairs, inner: Pairs, piece_budget: int) -> Pairs:
     canonical result has more than piece_budget breakpoints".
     """
 
-    def place(y: Q) -> tuple[int, int, Q]:
+    def place(yn: int, yd: int) -> tuple[int, int, Q]:
         """How many outer x are <= y and < y, and outer's value at y."""
-        i = _index(outer, *y)
-        return i, i, _value_at(outer, i, *y)
+        i = _index(outer, yn, yd)
+        p = outer[i - 1]
+        if p[0] == yn and p[1] == yd:
+            return i, i - 1, p[2:]
+        return i, i, _at(_lap_form(p, outer[i]), yn, yd)
 
-    known = {b[:2]: (j + 1, j, b[2:]) for j, b in enumerate(outer)}
     laps = iter(inner)
     x0n, x0d, y0n, y0d = next(laps)
-    i0, below0, v0 = known.get((y0n, y0d)) or place((y0n, y0d))
+    i0, below0, v0 = place(y0n, y0d)
     out = [(x0n, x0d, *v0)]
     loose = False  # out[-1] is a kept inner breakpoint's image, which may go
     sn = sd = 0  # slope sn / sd of the last kept segment, while loose
     for x1n, x1d, y1n, y1d in laps:
-        i1, below1, v1 = known.get((y1n, y1d)) or place((y1n, y1d))
+        i1, below1, v1 = place(y1n, y1d)
         # outer breakpoints strictly between y0 and y1, in the lap's direction
         dy = y1n * y0d - y0n * y1d
         crossed = outer[i0:below1] if dy > 0 else outer[i1:below0][::-1]

@@ -1,20 +1,24 @@
-"""Wire formats: "p/q" rationals, JSON maps and orbits.
+"""Wire formats: "p/q" rationals, JSON maps and orbits, and results as JSON.
 
 Rationals serialize as "p/q" with "/q" omitted for integers, which is
 exactly ``str(Fraction)``.  A map serializes as
-``{"breakpoints": [["0", "0"], ["1/2", "1"], ["1", "0"]]}`` and an orbit
-as its ascending "p/q" list.  Every emitted value re-parses to an equal
-one, at any size: past the interpreter's limit on integer string
-conversion (``sys.get_int_max_str_digits()``) the digits are split in
-halves until each half converts, and no process-wide setting changes.
+``{"breakpoints": [["0", "0"], ["1/2", "1"], ["1", "0"]]}``, an orbit as
+its ascending "p/q" list, an interval as ``[lo, hi]`` and any other
+result as its fields' wire values (:func:`to_wire`).  Every emitted value
+re-parses to an equal one, at any size: past the interpreter's limit on
+integer string conversion (``sys.get_int_max_str_digits()``) the digits
+are split in halves until each half converts, and no process-wide
+setting changes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import re
+from enum import Enum
 from fractions import Fraction
 
-from .exact_pwl import Orbit, PwlMap, as_fraction
+from .exact_pwl import Interval, Orbit, PwlMap, as_fraction
 
 SCHEMA = "sharkovsky-lab/1"
 
@@ -82,3 +86,23 @@ def orbit_to_list(orbit: Orbit) -> list[str]:
 
 def orbit_from_list(values: list[str]) -> Orbit:
     return Orbit(tuple(parse_rational(v) for v in values))
+
+
+def to_wire(value, skip: set[str] | frozenset[str] = frozenset()):
+    """value in its wire format; enums by value, any other dataclass as its fields less skip."""
+    if value is None or isinstance(value, (int, str)):
+        return value
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, Orbit):
+        return orbit_to_list(value)
+    if isinstance(value, Interval):
+        return [format_rational(value.lo), format_rational(value.hi)]
+    if isinstance(value, PwlMap):
+        return pwlmap_to_obj(value)
+    if isinstance(value, (tuple, list)):
+        return [to_wire(item) for item in value]
+    fields = dataclasses.fields(value)
+    return {f.name: to_wire(getattr(value, f.name)) for f in fields if f.name not in skip}

@@ -356,6 +356,33 @@ class TestTent:
         assert orbit_from_list(payload["levels"][0]).period == 3
         assert orbit_from_list(payload["levels"][1]).period == 6
 
+    def test_the_json_keys_are_pinned(self, capsys):
+        # the payloads are the results' fields, so a new field on
+        # TruncatedMap or DoublingChain must show here
+        assert set(invoke_json(capsys, "tent", "pk", "3")) == {
+            "schema", "k", "orbit", "diameter",
+        }
+        payload = invoke_json(capsys, "tent", "truncate", "3", "--spectrum", "4")
+        assert set(payload) == {"schema", "k", "bounds", "map", "spectrum"}
+        assert {frozenset(row) for row in payload["spectrum"]} == {
+            frozenset({"period", "orbit_count", "continuum"})
+        }
+        assert set(invoke_json(capsys, "tent", "chain", "--levels", "1")) == {
+            "schema", "levels", "q0", "q1", "clamped_map",
+        }
+
+    @pytest.mark.parametrize("k, upto", [(1, 3), (3, 14), (5, 40)])
+    def test_each_csv_row_is_its_json_spectrum_row(self, capsys, k, upto):
+        argv = ("tent", "truncate", str(k), "--spectrum", str(upto))
+        spectrum = invoke_json(capsys, *argv)["spectrum"]
+        code, out, err = invoke(capsys, *argv, "--format", "csv")
+        assert code == 0, err
+        header, *rows = out.splitlines()
+        assert header == cli.SPECTRUM_CSV_COLUMNS
+        assert rows == [
+            ",".join(json.dumps(row[c]) for c in header.split(",")) for row in spectrum
+        ]
+
     def test_chain_reaches_level_three_under_the_default_budgets(self, capsys):
         # level 3 is censused through the clamp at the period-12 hull; the
         # whole domain would need tent^24, over the default piece budget

@@ -1,11 +1,13 @@
 """Exact map representation, enumeration, and preimage machinery."""
 
+import ast
 import itertools
 import random
 import time
 from bisect import bisect_right
 from fractions import Fraction as F
 from functools import cmp_to_key
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -707,6 +709,25 @@ def reference_lap_point(f, k, lap):
 
 class TestKernelInterface:
     PLATEAU = PwlMap([(0, 0), (F(1, 3), F(1, 2)), (F(2, 3), F(1, 2)), (1, 1)])
+
+    def test_no_module_reaches_into_a_private_kernel_name(self):
+        # outside exact_pwl no module imports a _name from it or reads a
+        # single-underscore attribute such as f._pairs or J._span
+        found = []
+        for path in sorted(Path(exact_pwl.__file__).resolve().parent.glob("*.py")):
+            if path.name == "exact_pwl.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("exact_pwl"):
+                    names = [alias.name for alias in node.names]
+                else:
+                    names = [node.attr] if isinstance(node, ast.Attribute) else []
+                found += [
+                    f"{path.name}:{node.lineno}: {name}"
+                    for name in names
+                    if name.startswith("_") and not name.startswith("__")
+                ]
+        assert not found
 
     def test_level_set_on_flat_lap_is_the_lap(self):
         hits = level_set_on(self.PLATEAU, F(1, 2), Interval(0, 1))
