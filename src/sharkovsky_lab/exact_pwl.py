@@ -32,7 +32,6 @@ from .errors import (
     PieceBudgetExceeded,
     WalkBudgetExceeded,
 )
-from .sharkovsky_order import divisors
 
 RationalLike = Union[Fraction, int, str]
 
@@ -216,8 +215,6 @@ Breakpoint = tuple[int, int, int, int]
 Pairs = tuple[Breakpoint, ...]
 #: Solutions of f(x) = x: ascending points and identity laps (_fixed_structure).
 Structure = tuple[list[Q], list[tuple[Q, Q]]]
-#: Solutions of f^d(x) = x on the whole domain, by d.
-Solved = dict[int, list[Q]]
 
 
 def _q(value: Fraction) -> Q:
@@ -871,60 +868,39 @@ def orbit_of(f: PwlMap, y: RationalLike, max_steps: int = 10_000) -> Orbit:
     raise NotAnOrbit(f"{y} did not return within {max_steps} steps")
 
 
-def point_of_least_period_in_lap(
-    f: PwlMap,
-    k: int,
-    lap: Interval,
-    piece_budget: int = DEFAULT_PIECE_BUDGET,
-) -> Optional[Fraction]:
+def point_of_least_period_in_lap(f: PwlMap, k: int, lap: Interval) -> Optional[Fraction]:
     """A point of least period exactly k inside an identity lap of f^k.
 
-    On the lap every point satisfies f^k(x) = x, so a point has least
-    period k exactly when no proper-divisor iterate fixes it.  Those
-    iterates are composed once, on the lap alone, and the lap is cut at
-    their solutions: each piece between two cuts is either wholly fixed
-    by some proper-divisor iterate or holds no such solution.  The
-    leftmost cut or piece midpoint of least period k is returned, or None
-    when the lap has none.  A degenerate lap is its only candidate.
+    The lap's left end when it has least period k, else its midpoint when
+    that has, else None: see _lap_point.  Nothing is composed.
     """
-    rep = _lap_point(f._pairs, k, *lap._span, piece_budget)
+    rep = _lap_point(f._pairs, k, *lap._span)
     return None if rep is None else _fraction(rep)
 
 
-def _lap_point(
-    f: Pairs, k: int, lo: Q, hi: Q, piece_budget: int, solved: Optional[Solved] = None
-) -> Optional[Q]:
-    """point_of_least_period_in_lap on the lap [lo, hi].
+def _lap_point(f: Pairs, k: int, lo: Q, hi: Q) -> Optional[Q]:
+    """point_of_least_period_in_lap on the lap [lo, hi], by two orbit walks.
 
-    ``solved`` maps each proper divisor d of k to the solutions of
-    f^d(x) = x on the whole domain.  When it is given, those in the lap
-    are the cuts, the same as the iterates composed on the lap would give.
+    Let L be the maximal interval holding [lo, hi] on which f^k = id.  Each
+    f^i(L) is again one, since f^(k-i) maps it back into L, and two such
+    intervals are equal or disjoint.  Let j be the least i >= 1 with
+    f^i(L) = L; f^j is injective, so monotone, on L.  Increasing with
+    finite order, it is the identity, and every point of L has least
+    period j.  Decreasing, it has one fixed point p, of least period j,
+    and f^(2j) = id on L, so every other point has least period 2j.  So
+    [lo, hi] holds a point of least period k exactly when lo has one, or,
+    if lo = p, when the midpoint has.
     """
     if k == 1:
         return lo
-    cuts = {lo, hi}
-    if solved is not None:
-        divisor_points = (y for d in divisors(k)[:-1] for y in solved[d])
-        cuts.update(y for y in divisor_points if _le(lo, y) and _le(y, hi))
-    elif lo != hi:
-        chain = _iterates(f, _restrict(f, lo, hi), divisors(k)[-2], piece_budget)
-        for d, g in enumerate(chain, start=1):
-            if k % d == 0:
-                cuts.update(_fixed_structure(g)[0])
-    ordered = sorted(cuts, key=_sort_key(cuts))
-    candidates = [ordered[0]]
-    for a, b in zip(ordered, ordered[1:]):
-        # the midpoint: the value at 1 of the line through (0, a) and (2, b)
-        candidates += [_at(_lap_form((0, 1, *a), (2, 1, *b)), 1, 1), b]
-    for c in candidates:
+    # the midpoint: the value at 1 of the line through (0, lo) and (2, hi)
+    for c in (lo, _at(_lap_form((0, 1, *lo), (2, 1, *hi)), 1, 1)):
         if len(_orbit_walk(f, c, k)) == k:
             return c
     return None
 
 
-def _census(
-    f: PwlMap, k: int, fixed: Structure, piece_budget: int, solved: Optional[Solved]
-) -> PeriodicOrbits:
+def _census(f: PwlMap, k: int, fixed: Structure) -> PeriodicOrbits:
     """Sort the solutions of f^k(x) = x into the orbits of least period k.
 
     ``fixed`` is the _fixed_structure of f^k, whose points f permutes.
@@ -932,7 +908,6 @@ def _census(
     scanned from the lowest position, are the orbits by minimum; positions
     order each orbit, so no two rationals are compared.  NotAnOrbit unless
     f maps each point to a point and each cycle's length divides k.
-    ``solved`` is passed on to the identity laps' _lap_point.
     """
     points, laps = fixed
     position = {y: i for i, y in enumerate(points)}
@@ -953,9 +928,7 @@ def _census(
         if len(cycle) == k:
             orbits.append(Orbit._of(tuple(points[i] for i in sorted(cycle))))
     continuum = _intervals(
-        (lo, hi)
-        for lo, hi in laps
-        if _lap_point(f._pairs, k, lo, hi, piece_budget, solved) is not None
+        (lo, hi) for lo, hi in laps if _lap_point(f._pairs, k, lo, hi) is not None
     )
     return PeriodicOrbits(tuple(orbits), tuple(continuum))
 
@@ -973,7 +946,7 @@ def periodic_orbits(
     if k < 1:
         raise ValueError("iterate order must be >= 1")
     fixed = _fixed_structure(f.iterate(k, piece_budget)._pairs)
-    return _census(f, k, fixed, piece_budget, None)
+    return _census(f, k, fixed)
 
 
 def periodic_orbits_upto(
@@ -982,11 +955,9 @@ def periodic_orbits_upto(
     """periodic_orbits(f, k) for k = 1, ..., upto, in order.
 
     Each iterate is composed once, from the one before, so a spectrum up
-    to J performs J - 1 compositions.  The solutions of f^d(x) = x are
-    kept while d still divides a later k (2d <= upto), and the identity
-    laps of f^k are cut at them instead of composing a chain of their
-    own.  A composition over the piece budget raises from the advance
-    that needs it, at the same k in either order, and ends the generator.
+    to J performs J - 1 compositions.  A composition over the piece
+    budget raises from the advance that needs it, at the same k in either
+    order, and ends the generator.
     """
     if upto < 1:
         raise ValueError("period bound must be >= 1")
@@ -1002,14 +973,10 @@ def _censuses(f: PwlMap, upto: int, piece_budget: int) -> Iterator[PeriodicOrbit
     few laps cut f^(k-1)'s breakpoints in _compose's tight crossing loop,
     with no per-lap overhead on each of f^(k-1)'s laps.
     """
-    solved: Solved = {}
     g = f._pairs
     for k in range(1, upto + 1):
         g = g if k == 1 else _compose(g, f._pairs, piece_budget)
-        fixed = _fixed_structure(g)
-        yield _census(f, k, fixed, piece_budget, solved)
-        if 2 * k <= upto:
-            solved[k] = fixed[0]
+        yield _census(f, k, _fixed_structure(g))
 
 
 def orbit_permutation(f: PwlMap, orbit: Orbit) -> Optional[tuple[int, ...]]:
@@ -1351,7 +1318,7 @@ def _cycle_candidates(
         yield from points
         if least:
             for a, b in laps:
-                rep = _lap_point(f, n, a, b, piece_budget)
+                rep = _lap_point(f, n, a, b)
                 if rep is not None:
                     yield rep
 
@@ -1380,10 +1347,7 @@ def _lap_aligned_structure(f: Pairs, spans: list[tuple[Q, Q]]) -> Optional[Struc
         u, v, w = u // g, v // g, w // g
     if u == w:
         return list(spans[0]), [spans[0]]
-    g = gcd(v, w - u)
-    if w < u:
-        g = -g
-    return [(v // g, (w - u) // g)], []
+    return [_at((0, v, w - u), 1, 1)], []
 
 
 def _chains(f: Pairs, spans: list[tuple[Q, Q]]) -> Iterator[list[tuple[Q, Q]]]:

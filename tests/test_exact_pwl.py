@@ -55,14 +55,36 @@ TENT = tent_map()
 IDENTITY = PwlMap([(0, 0), (1, 1)])
 NEG = PwlMap([(0, 1), (1, 0)])  # x -> 1 - x
 THREE_CYCLE = PwlMap([(0, F(1, 2)), (F(1, 2), 1), (1, 0)])
+INVOLUTION = PwlMap([(0, 1), (F(1, 4), F(1, 4)), (1, 0)])  # fixes 1/4
 IDENTITY_LAP_MAPS = [
     IDENTITY,
     NEG,
     THREE_CYCLE,
     connect_the_dots(CyclicPattern((3, 4, 2, 1))),
     connect_the_dots(CyclicPattern((4, 3, 1, 2))),
+    # on each of these f^j is not affine on the lap, where j is the lap's
+    # return time: an involution and a reversing pair, whose f^j reverses
+    # the lap and fixes a multiple of an eighth of it, so a window of the
+    # lap search starts there, and an increasing interval 3-cycle
+    INVOLUTION,
+    PwlMap(
+        [
+            (0, F(2, 5)), (F(1, 5), F(3, 5)), (F(2, 5), F(4, 5)), (F(1, 2), F(17, 20)),
+            (F(3, 5), 1), (F(4, 5), 0), (F(17, 20), F(1, 10)), (1, F(1, 5)),
+        ]
+    ),
+    PwlMap([(0, F(2, 3)), (F(1, 3), 1), (F(2, 3), F(1, 3)), (F(3, 4), F(1, 12)), (1, 0)]),
 ]
-IDENTITY_LAP_IDS = ["identity", "reflection", "three-cycle", "four-doubling", "mirror"]
+IDENTITY_LAP_IDS = [
+    "identity",
+    "reflection",
+    "three-cycle",
+    "four-doubling",
+    "mirror",
+    "involution",
+    "interval-three-cycle",
+    "reversing-pair",
+]
 
 
 # ---------------------------------------------------------------------------
@@ -1192,6 +1214,7 @@ class TestContinuumExtraction:
 
     @pytest.mark.parametrize("k", [2, 4, 6, 8, 12])
     def test_one_chain_of_iterates_on_the_lap(self, monkeypatch, k):
+        """The lap's chain of iterates is empty: two orbit walks decide it."""
         calls = []
         original = exact_pwl._compose
 
@@ -1202,7 +1225,13 @@ class TestContinuumExtraction:
         monkeypatch.setattr(exact_pwl, "_compose", counted)
         rep = point_of_least_period_in_lap(NEG, k, Interval(0, 1))
         assert rep == (0 if k == 2 else None)
-        assert len(calls) == divisors(k)[-2] - 1
+        assert calls == []
+
+    def test_a_piece_budget_below_the_lap_does_not_bind(self):
+        # f^6 is the identity, two breakpoints; f itself has three, so a
+        # chain of iterates composed on the lap would pass this budget
+        census = periodic_orbits(INVOLUTION, 6, piece_budget=2)
+        assert census == PeriodicOrbits((), ())
 
 
 class TestClamp:
@@ -1387,9 +1416,8 @@ class TestCensus:
         ids=["unlisted-value", "long-cycle", "non-divisor", "not-one-to-one"],
     )
     def test_census_certifies_the_solutions_it_is_given(self, k, points):
-        budget = exact_pwl.DEFAULT_PIECE_BUDGET
         with pytest.raises(NotAnOrbit, match="is not fixed by the"):
-            exact_pwl._census(TENT, k, (points, []), budget, None)
+            exact_pwl._census(TENT, k, (points, []))
 
     def test_spectrum_composes_each_iterate_once(self, monkeypatch):
         calls = []
@@ -1468,13 +1496,9 @@ class TestCensus:
 
 def reference_censuses(f, upto, piece_budget=exact_pwl.DEFAULT_PIECE_BUDGET):
     """periodic_orbits_upto with each iterate composed as f o f^(k-1), f outside."""
-    solved = {}
     chain = exact_pwl._iterates(f._pairs, f._pairs, upto, piece_budget)
     for k, g in enumerate(chain, start=1):
-        fixed = exact_pwl._fixed_structure(g)
-        yield exact_pwl._census(f, k, fixed, piece_budget, solved)
-        if 2 * k <= upto:
-            solved[k] = fixed[0]
+        yield exact_pwl._census(f, k, exact_pwl._fixed_structure(g))
 
 
 def censuses_until_overrun(censuses):

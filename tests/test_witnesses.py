@@ -497,10 +497,10 @@ class TestCycleSearchMatchesTheReference:
             monkeypatch.setattr(exact_pwl, name, counted)
         assert realized_periods(stefan_pattern(5), 8, method="walks") == direct
         assert calls == {}
-        # the swap's length-4 walk is an identity lap of f^4, solved once;
-        # only its lap representative composes, f^2 on the lap
+        # the swap's length-4 walk is an identity lap of f^4, solved once,
+        # and its lap representative composes nothing
         assert realized_periods(CyclicPattern((2, 1)), 4, method="walks") == {1, 2}
-        assert set(calls) == {"_compose"}
+        assert calls == {}
 
     def test_rebound_below_cycles_clip_each_span_once(self, monkeypatch):
         f = connect_the_dots(stefan_pattern(7))
@@ -643,7 +643,7 @@ def reference_cycle_candidates(f, spans, least, piece_budget):
         yield from points
         if least:
             for a, b in laps:
-                rep = exact_pwl._lap_point(f, n, a, b, piece_budget)
+                rep = exact_pwl._lap_point(f, n, a, b)
                 if rep is not None:
                     yield rep
 
