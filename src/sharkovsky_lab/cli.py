@@ -153,9 +153,9 @@ def _cmd_tent(args) -> None:
             walk_budget=args.walk_budget,
         )
         if args.format == "csv":
-            print(SPECTRUM_CSV_COLUMNS)
-            for e in entries:
-                print(",".join(map(json.dumps, to_wire(e).values())))
+            # the values are ints and bools: one JSON table, cut at "],[" into rows
+            table = json.dumps([list(e.values()) for e in to_wire(entries)], separators=(",", ":"))
+            print(SPECTRUM_CSV_COLUMNS, table[2:-2].replace("],[", "\n"), sep="\n")
         else:
             wire = to_wire(truncated, {"base", "anchor_orbit"})
             _emit_json({"k": args.k, **wire, "spectrum": to_wire(entries)})

@@ -297,11 +297,13 @@ def _eval_pairs(pairs: Pairs, x: Q) -> Q:
 def _eval_ascending(pairs: Pairs, xs: list[Q]) -> list[Q]:
     """f at ascending points of its domain, in one pass over its laps."""
     forms = [_lap_form(p0, p1) for p0, p1 in _laps(pairs)]
+    forms = [(p // g, r // g, q // g) for p, r, q in forms for g in [gcd(p, r, q)]]
     values, j, last = [], 0, len(forms) - 1
+    (p, r, q), (en, ed, _, _) = forms[0], pairs[1]  # lap j's form and right end
     for n, d in xs:
-        while j < last and pairs[j + 1][0] * d < n * pairs[j + 1][1]:
-            j += 1  # the point lies right of lap j
-        p, r, q = forms[j]
+        while j < last and en * d < n * ed:  # the point lies right of lap j
+            j += 1
+            (p, r, q), (en, ed, _, _) = forms[j], pairs[j + 1]
         num, den = p * n + r * d, q * d
         g = gcd(num, den)
         values.append((num // g, den // g))
@@ -481,10 +483,11 @@ def _fixed_structure(pairs: Pairs) -> Structure:
             if g1 == 0:
                 identity.append(((x0n, x0d), (x1n, x1d)))
         elif g1 != 0 and (g0 < 0) != (g1 < 0):
-            # f(x) - x runs affinely from b / w at x0 to a / w at x1 (w > 0),
-            # so it vanishes at (x0 a - x1 b) / (a - b)
-            a, b = g1 * y0d * x0d, g0 * y1d * x1d
-            num, den = x0n * x1d * a - x1n * x0d * b, x0d * x1d * (a - b)
+            # f(x) - x runs affinely from h0 = g0 / (y0d x0d) at x0 to h1 = g1 / (y1d x1d)
+            # at x1, so it vanishes at (x0 h1 - x1 h0) / (h1 - h0); times y0d y1d x0d x1d,
+            # that is (x0n u - x1n v) / (x0d u - x1d v) with u = y0d g1 and v = y1d g0
+            u, v = y0d * g1, y1d * g0
+            num, den = x0n * u - x1n * v, x0d * u - x1d * v
             g = gcd(num, den)
             points.append((num // g, den // g) if den > 0 else (-num // g, -den // g))
         x0n, x0d, y0d, g0 = x1n, x1d, y1d, g1
@@ -903,34 +906,35 @@ def _lap_point(f: Pairs, k: int, lo: Q, hi: Q) -> Optional[Q]:
 def _census(f: PwlMap, k: int, fixed: Structure) -> PeriodicOrbits:
     """Sort the solutions of f^k(x) = x into the orbits of least period k.
 
-    ``fixed`` is the _fixed_structure of f^k, whose points f permutes.
-    One pass evaluates f once at each, and the cycles of the permutation,
-    scanned from the lowest position, are the orbits by minimum; positions
-    order each orbit, so no two rationals are compared.  NotAnOrbit unless
-    f maps each point to a point and each cycle's length divides k.
+    ``fixed`` is the _fixed_structure of f^k, whose points f permutes.  One
+    pass evaluates f once at each; the permutation's cycles, walked from the
+    lowest position, are the orbits by minimum, and one ascending pass over
+    the positions, labelled by cycle, fills each in order, comparing no two
+    rationals.  NotAnOrbit unless f maps points to points in cycles whose lengths divide k.
     """
     points, laps = fixed
     position = {y: i for i, y in enumerate(points)}
     successor = [position.get(v) for v in _eval_ascending(f._pairs, points)]
-    placed = bytearray(len(points))
-    orbits = []
+    lowest = [-1] * len(points)  # each walked position's cycle, by its lowest position
+    kept: dict[int, list[Q]] = {}  # the orbits of least period k, by lowest position
     for start in range(len(points)):
-        if placed[start]:
+        if lowest[start] >= 0:
             continue
-        cycle, i = [], start
-        while i is not None and not placed[i] and len(cycle) < k:
-            placed[i] = 1
-            cycle.append(i)
-            i = successor[i]
-        if i != start or k % len(cycle):
+        i, length = start, 0
+        while i is not None and lowest[i] < 0 and length < k:
+            lowest[i], length, i = start, length + 1, successor[i]
+        if i != start or k % length:
             y = _fraction(points[start])
             raise NotAnOrbit(f"{y} is not fixed by the {k}-th iterate")
-        if len(cycle) == k:
-            orbits.append(Orbit._of(tuple(points[i] for i in sorted(cycle))))
+        if length == k:
+            kept[start] = []
+    for y, start in zip(points, lowest):  # ascending, so each orbit fills in order
+        if start in kept:
+            kept[start].append(y)
     continuum = _intervals(
         (lo, hi) for lo, hi in laps if _lap_point(f._pairs, k, lo, hi) is not None
     )
-    return PeriodicOrbits(tuple(orbits), tuple(continuum))
+    return PeriodicOrbits(tuple(map(Orbit._of, map(tuple, kept.values()))), tuple(continuum))
 
 
 def periodic_orbits(

@@ -14,6 +14,7 @@ setting changes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
 from enum import Enum
 from fractions import Fraction
@@ -104,5 +105,10 @@ def to_wire(value, skip: set[str] | frozenset[str] = frozenset()):
         return pwlmap_to_obj(value)
     if isinstance(value, (tuple, list)):
         return [to_wire(item) for item in value]
-    fields = dataclasses.fields(value)
-    return {f.name: to_wire(getattr(value, f.name)) for f in fields if f.name not in skip}
+    return {n: to_wire(getattr(value, n)) for n in _field_names(type(value)) if n not in skip}
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    """A dataclass's field names, read once per class."""
+    return tuple(field.name for field in dataclasses.fields(cls))

@@ -371,7 +371,7 @@ class TestTent:
             "schema", "levels", "q0", "q1", "clamped_map",
         }
 
-    @pytest.mark.parametrize("k, upto", [(1, 3), (3, 14), (5, 40)])
+    @pytest.mark.parametrize("k, upto", [(1, 3), (3, 14), (5, 40), (5, 1000)])
     def test_each_csv_row_is_its_json_spectrum_row(self, capsys, k, upto):
         argv = ("tent", "truncate", str(k), "--spectrum", str(upto))
         spectrum = invoke_json(capsys, *argv)["spectrum"]

@@ -1154,7 +1154,7 @@ class TestPeriodicOrbits:
                 for p in orbit:
                     assert least_period(TENT, p, k) == k
 
-    @pytest.mark.parametrize("k", range(1, 13))
+    @pytest.mark.parametrize("k", range(1, 15))
     def test_mobius_orbit_count_identity(self, k):
         count = len(periodic_orbits(TENT, k))
         expected = sum(
@@ -1213,7 +1213,7 @@ class TestContinuumExtraction:
         )
 
     @pytest.mark.parametrize("k", [2, 4, 6, 8, 12])
-    def test_one_chain_of_iterates_on_the_lap(self, monkeypatch, k):
+    def test_nothing_is_composed_on_the_lap(self, monkeypatch, k):
         """The lap's chain of iterates is empty: two orbit walks decide it."""
         calls = []
         original = exact_pwl._compose
@@ -1470,7 +1470,7 @@ class TestCensus:
         monkeypatch.setattr(pattern_dynamics, "iter_closed_walks", refuse)
         assert realized_periods(pattern, 8, "auto", piece_budget=1) == direct
 
-    def test_identity_laps_are_cut_at_the_stored_divisor_solutions(self, monkeypatch):
+    def test_identity_laps_compose_only_the_census_chain(self, monkeypatch):
         calls = []
         original = exact_pwl._compose
 

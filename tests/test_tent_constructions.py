@@ -129,6 +129,16 @@ class TestDoublingChain:
         assert q3.minimum < q6.minimum and q6.maximum < q3.maximum
         assert (chain.q0, chain.q1) == (q6.minimum, q6.maximum)
 
+    @pytest.mark.parametrize(
+        "levels, diameter", [(0, F(4, 7)), (1, F(10, 21)), (2, F(216, 455))]
+    )
+    def test_each_level_is_the_whole_domain_answer(self, levels, diameter):
+        # the chain censuses each level through the clamp at the level before
+        # it; the whole domain's census of period 3 * 2^L must agree
+        level = doubling_chain(levels).levels[levels]
+        assert minimal_diameter_orbit(TENT, 3 * 2**levels) == level
+        assert level.diameter == diameter
+
     def test_level_zero_clamp_is_the_period_three_truncation(self):
         chain = doubling_chain(0)
         trunc = truncate_at_orbit(TENT, minimal_diameter_orbit(TENT, 3))
