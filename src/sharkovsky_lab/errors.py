@@ -102,4 +102,4 @@ class UnsupportedPeriodForCase(PreconditionError):
 
 
 class NoSuchOrbit(PreconditionError):
-    """No orbit with the requested period exists inside the window."""
+    """The map has no isolated orbit of the requested least period."""

@@ -1017,14 +1017,12 @@ def _narrower(o: Orbit, p: Orbit) -> int:
     return wider or an * cd - cn * ad
 
 
-def narrowest_orbit(orbits: Iterable[Orbit], window: Interval) -> Optional[Orbit]:
-    """The orbit of least (diameter, minimum) with its hull in the window.
+def narrowest_orbit(orbits: Iterable[Orbit]) -> Optional[Orbit]:
+    """The orbit of least (diameter, minimum), None when there is none.
 
-    None when there is none.  No orbit's points become Fractions here.
+    No orbit's points become Fractions here.
     """
-    lo, hi = window._span
-    inside = (o for o in orbits if _le(lo, o._pairs[0]) and _le(o._pairs[-1], hi))
-    return min(inside, key=cmp_to_key(_narrower), default=None)
+    return min(orbits, key=cmp_to_key(_narrower), default=None)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import CertificationFailed, NoSuchOrbit, NotAnOrbit
 from .exact_pwl import (
@@ -35,39 +34,17 @@ def tent_map() -> PwlMap:
 
 
 def minimal_diameter_orbit(
-    f: PwlMap,
-    k: int,
-    within: Optional[Interval] = None,
-    piece_budget: int = DEFAULT_PIECE_BUDGET,
+    f: PwlMap, k: int, *, piece_budget: int = DEFAULT_PIECE_BUDGET
 ) -> Orbit:
-    """Among least-period-k orbits inside the window, one of minimal diameter.
+    """Among f's least-period-k orbits, one of minimal diameter.
 
     Ties break toward the smallest minimum point.  Orbits carried by
     identity laps (a continuum) have no well-defined minimal diameter and
     are not considered; they never occur for the tent family.
-
-    A window W inside the domain is censused through the clamp
-    g = median(W.lo, f, W.hi), keeping the orbits that f permutes; for the
-    tent, k = 12 and W the hull of its chain's period-6 orbit, g^k has 210
-    breakpoints and f^k 4,097.  The answer is the whole-domain one.  g = f
-    where f maps into W, so f's orbits in W are g's orbits that f permutes.
-    A census omits exactly the orbits around which the iterate is the
-    identity, and around an orbit in W's interior f^k = g^k.  g^k maps
-    into W, so g's census omits no orbit touching W's boundary, but f's
-    may: when f permutes such an orbit, the whole domain is censused.
     """
-    window = within if within is not None else f.domain
-    lo, hi, orbits = window.lo, window.hi, None
-    if window != f.domain and f.domain.encloses(window):
-        clamped = periodic_orbits(f.clamp(lo, hi), k, piece_budget)
-        orbits = [o for o in clamped if is_orbit_of(f, o)]
-        if any(o.minimum == lo or o.maximum == hi for o in orbits):
-            orbits = None
-    if orbits is None:
-        orbits = periodic_orbits(f, k, piece_budget).orbits
-    best = narrowest_orbit(orbits, window)
+    best = narrowest_orbit(periodic_orbits(f, k, piece_budget).orbits)
     if best is None:
-        raise NoSuchOrbit(f"no least-period-{k} orbit inside {window}")
+        raise NoSuchOrbit(f"no least-period-{k} orbit of the map")
     return best
 
 
@@ -140,9 +117,8 @@ def realized_spectrum_set(entries: list[SpectrumEntry]) -> set[int]:
 class DoublingChain:
     """Nested minimal-diameter orbits of periods 3, 6, 12, ... of a base map.
 
-    ``q0``/``q1`` are the extreme clamp bounds seen so far: the largest
-    minimum and the smallest maximum over the computed levels.  With the
-    hulls strictly nesting these come from the deepest orbit.
+    ``q0``/``q1`` are the deepest orbit's minimum and maximum, the
+    innermost of the strictly nesting hulls.
     """
 
     base: PwlMap
@@ -157,31 +133,30 @@ def doubling_chain(
     """Build orbits Q_{3 * 2^j} of the tent map for j = 0..levels, nesting hulls.
 
     Each level is the minimal-diameter orbit of twice the previous period
-    inside the previous hull; the construction verifies that the hulls
-    nest strictly.
+    of the truncation at the previous level; the construction verifies
+    that the hulls nest strictly.
     """
     if levels < 0:
         raise ValueError("levels must be >= 0")
     base = tent_map()
-    window = base.domain
-    orbits: list[Orbit] = []
-    period = 3
-    for _ in range(levels + 1):
-        orbit = minimal_diameter_orbit(base, period, window, piece_budget)
-        if orbits:
-            prev = orbits[-1].hull
-            if not (prev.lo < orbit.minimum and orbit.maximum < prev.hi):
-                raise CertificationFailed(
-                    f"hull of period-{period} orbit fails to nest strictly"
-                )
+    orbits = [minimal_diameter_orbit(base, 3, piece_budget=piece_budget)]
+    for _ in range(levels):
+        prev = orbits[-1]
+        # g is the tent T wherever T's value lies in hull(prev), else a hull end.  The
+        # ends lie on prev, of least period k, so no g-orbit of period 2k meets g != T:
+        # g's are T's inside the hull.  g's slopes are 0 and +-2, so no iterate of g
+        # has an identity lap, and the census misses no orbit.
+        k = prev.period
+        g = truncate_at_orbit(base, prev).map
+        orbit = minimal_diameter_orbit(g, 2 * k, piece_budget=piece_budget)
+        if not (prev.minimum < orbit.minimum and orbit.maximum < prev.maximum):
+            raise CertificationFailed(
+                f"hull of period-{orbit.period} orbit fails to nest strictly"
+            )
         orbits.append(orbit)
-        window = orbit.hull
-        period *= 2
+    deepest = orbits[-1]
     return DoublingChain(
-        base=base,
-        levels=tuple(orbits),
-        q0=max(o.minimum for o in orbits),
-        q1=min(o.maximum for o in orbits),
+        base=base, levels=tuple(orbits), q0=deepest.minimum, q1=deepest.maximum
     )
 
 

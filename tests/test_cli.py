@@ -7,6 +7,8 @@ import os
 import random
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -446,6 +448,40 @@ class TestContract:
         _, first, _ = invoke(capsys, *args)
         _, second, _ = invoke(capsys, *args)
         assert first == second
+
+    def test_concurrent_runs_answer_as_sequential_ones(self, monkeypatch):
+        queries = [
+            ["tent", "pk", "6"],
+            ["tent", "chain", "--levels", "2", "--json"],
+            ["tent", "truncate", "5", "--spectrum", "30", "--format", "csv"],
+            ["witness", "odd", "--pattern", "1>2>3", "--period", "7", "--json"],
+            ["compare", "3"],
+            ["--piece-budget", "10", "tent", "pk", "5"],
+            ["--walk-budget", "10", "spectrum", "--pattern", "1>3>4>2>5>7>6",
+             "--upto", "12"],
+        ]
+        local = threading.local()
+
+        class PerThread(io.TextIOBase):
+            def __init__(self, name):
+                self.name = name
+
+            def write(self, text):
+                return getattr(local, self.name).write(text)
+
+        def answer(argv):
+            local.out, local.err = io.StringIO(), io.StringIO()
+            code = run(argv)
+            return code, local.out.getvalue(), local.err.getvalue()
+
+        monkeypatch.setattr(sys, "stdout", PerThread("out"))
+        monkeypatch.setattr(sys, "stderr", PerThread("err"))
+        monkeypatch.setattr(cli, "_parser", None)  # threads race to build it
+        with ThreadPoolExecutor(max_workers=len(queries)) as pool:
+            threaded = list(pool.map(answer, queries * 21))
+        sequential = [answer(argv) for argv in queries]
+        assert [code for code, _, _ in sequential] == [0, 0, 0, 0, 2, 3, 3]
+        assert threaded == sequential * 21
 
     def test_usage_error_exits_two(self, capsys):
         assert run(["compare", "3"]) == 2

@@ -1813,32 +1813,29 @@ class TestNecklaceWalks:
         assert pattern_dynamics.iter_closed_walks is exact_pwl.iter_closed_walks
 
 
-def reference_minimal_diameter_orbit(f, k, within=None):
-    """The whole-domain census filtered by hull, which the windowed search must match."""
-    window = within if within is not None else f.domain
-    inside = [o for o in periodic_orbits(f, k) if window.encloses(o.hull)]
-    if not inside:
-        raise NoSuchOrbit(f"no least-period-{k} orbit inside {window}")
-    return min(inside, key=lambda o: (o.diameter, o.minimum))
+def reference_minimal_diameter_orbit(f, k):
+    """The whole-domain census sorted on Fractions, which the search must match."""
+    orbits = periodic_orbits(f, k).orbits
+    if not orbits:
+        raise NoSuchOrbit(f"no least-period-{k} orbit of the map")
+    return min(orbits, key=lambda o: (o.diameter, o.minimum))
 
 
 #: f^2 is the identity around the 2-cycle {1/3, 2/3}, so the whole-domain
 #: census reports a continuum there and lists no orbit inside [1/3, 2/3].
-#: Clamped to that window the cycle is isolated and the clamp has no
-#: continuum: only the cycle lying on the window's ends sends the search
-#: back to the whole domain.
+#: Clamped to that interval the cycle is isolated and the clamp has no
+#: continuum.
 SWAP_AT_THE_EDGES = PwlMap(
     [(0, F(1, 3)), (F(9, 20), F(47, 60)), (F(11, 20), F(13, 60)), (1, F(2, 3))]
 )
 
 
 @st.composite
-def windowed_queries(draw):
-    """A map, a period and a window.
+def diameter_queries(draw):
+    """A map and a period.
 
-    The window is the hull of an orbit (one inside a continuum comes with
-    its own period), or spans two solutions of an iterate, or is a part of
-    one of these, or the domain.
+    Where an iterate of the map has identity laps, the period is sometimes
+    that of an orbit inside the continuum.
     """
     kind = draw(st.sampled_from(["tent", "pattern", "identity-laps", "general"]))
     if kind == "tent":
@@ -1850,52 +1847,26 @@ def windowed_queries(draw):
         f, top = draw(st.sampled_from(IDENTITY_LAP_MAPS + [SWAP_AT_THE_EDGES])), 6
     else:
         f, top = draw(general_maps()), 4
-    j, shares = draw(st.integers(1, top)), st.fractions(0, 1, max_denominator=60)
-    fixed = fixed_points_of_iterate(f, j)
+    fixed = fixed_points_of_iterate(f, draw(st.integers(1, top)))
     if fixed.identity_laps and draw(st.booleans()):
-        # an orbit inside a continuum, at its own period and hull
         lap = draw(st.sampled_from(fixed.identity_laps))
-        orbit = orbit_of(f, lap.lo + draw(shares) * lap.length)
-        return f, orbit.period, orbit.hull
-    spans = [o.hull for o in periodic_orbits(f, j)]
-    spans.append(Interval.between(*(draw(st.sampled_from(fixed.points)) for _ in "ab")))
-    span = draw(st.sampled_from(spans))
-    ts = sorted(draw(shares) for _ in "ab")
-    part = Interval(*(span.lo + t * span.length for t in ts))
-    window = draw(st.sampled_from([span, part, f.domain]))
-    return f, draw(st.integers(1, top)), window
+        share = draw(st.fractions(0, 1, max_denominator=60))
+        return f, orbit_of(f, lap.lo + share * lap.length).period
+    return f, draw(st.integers(1, top))
 
 
 class TestWindowedSearch:
-    def _assert_matches_reference(self, f, k, window):
+    @settings(max_examples=120, deadline=None)
+    @given(diameter_queries())
+    def test_matches_the_whole_domain_census(self, query):
+        f, k = query
         try:
-            expected = reference_minimal_diameter_orbit(f, k, window)
+            expected = reference_minimal_diameter_orbit(f, k)
         except NoSuchOrbit:
             with pytest.raises(NoSuchOrbit):
-                minimal_diameter_orbit(f, k, window)
+                minimal_diameter_orbit(f, k)
         else:
-            assert minimal_diameter_orbit(f, k, window) == expected
-
-    @settings(max_examples=120, deadline=None)
-    @given(windowed_queries())
-    def test_matches_the_whole_domain_census(self, query):
-        self._assert_matches_reference(*query)
-
-    @pytest.mark.parametrize(
-        "f, k, window",
-        [
-            # the clamp's square is the identity on the window, whose ends
-            # are a 2-cycle of the clamp and of NEG
-            (NEG, 2, Interval(F(1, 5), F(4, 5))),
-            (SWAP_AT_THE_EDGES, 2, Interval(F(1, 3), F(2, 3))),
-            (TENT, 6, minimal_diameter_orbit(TENT, 3).hull),  # the chain's level 1
-            (TENT, 3, Interval(F(-1), F(2))),  # wider than the domain
-            (TENT, 1, Interval(F(2, 3), F(2, 3))),  # one point, a fixed one
-        ],
-        ids=["reflection", "swap-at-the-edges", "chain-level", "wide", "fixed-point"],
-    )
-    def test_matches_the_whole_domain_census_at_the_fallbacks(self, f, k, window):
-        self._assert_matches_reference(f, k, window)
+            assert minimal_diameter_orbit(f, k) == expected
 
     def test_the_edge_orbit_is_isolated_only_in_the_clamp(self):
         clamped = periodic_orbits(SWAP_AT_THE_EDGES.clamp(F(1, 3), F(2, 3)), 2)

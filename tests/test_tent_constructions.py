@@ -16,6 +16,7 @@ from sharkovsky_lab import (
     minimal_diameter_orbit,
     orbit_of,
     period_spectrum,
+    periodic_orbits,
     realized_spectrum_set,
     t_infinity_level,
     tent_map,
@@ -44,13 +45,16 @@ class TestMinimalDiameterOrbit:
     def test_unique_period_two_orbit(self):
         assert list(minimal_diameter_orbit(TENT, 2)) == [F(2, 5), F(4, 5)]
 
-    def test_window_restriction(self):
-        inside = minimal_diameter_orbit(TENT, 6, Interval(F(2, 7), F(6, 7)))
-        assert inside.minimum > F(2, 7) and inside.maximum < F(6, 7)
+    def test_a_stale_window_is_refused_at_the_call(self):
+        # the search is over the whole domain, and its budget is keyword-only
+        with pytest.raises(TypeError, match="2 positional arguments but 3 were given"):
+            minimal_diameter_orbit(TENT, 6, Interval(F(2, 7), F(6, 7)))
 
     def test_no_such_orbit(self):
+        # the truncation at the period-5 orbit realizes only the forcing tail of 5
+        trunc = truncate_at_orbit(TENT, minimal_diameter_orbit(TENT, 5))
         with pytest.raises(NoSuchOrbit):
-            minimal_diameter_orbit(TENT, 3, Interval(F(1, 100), F(2, 100)))
+            minimal_diameter_orbit(trunc.map, 3)
 
 
 class TestTruncation:
@@ -133,11 +137,30 @@ class TestDoublingChain:
         "levels, diameter", [(0, F(4, 7)), (1, F(10, 21)), (2, F(216, 455))]
     )
     def test_each_level_is_the_whole_domain_answer(self, levels, diameter):
-        # the chain censuses each level through the clamp at the level before
+        # the chain censuses each level on the truncation at the level before
         # it; the whole domain's census of period 3 * 2^L must agree
         level = doubling_chain(levels).levels[levels]
         assert minimal_diameter_orbit(TENT, 3 * 2**levels) == level
         assert level.diameter == diameter
+
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
+    def test_each_level_is_the_windowed_census(self, levels):
+        # the route before the truncations: census the tent clamped at the
+        # level before's hull, and keep the orbits the tent permutes
+        chain = doubling_chain(levels)
+        prev, level = chain.levels[-2:]
+        hull = prev.hull
+        clamped = periodic_orbits(TENT.clamp(hull.lo, hull.hi), level.period)
+        kept = [o for o in clamped if is_orbit_of(TENT, o)]
+        assert level == min(kept, key=lambda o: (o.diameter, o.minimum))
+        # the chain's premise: every orbit of the truncation at this period is
+        # a tent orbit off the hull's ends, and none is in a continuum
+        census = periodic_orbits(truncate_at_orbit(TENT, prev).map, level.period)
+        assert not census.continuum and len(census) == 2
+        for orbit in census:
+            assert is_orbit_of(TENT, orbit)
+            assert hull.lo < orbit.minimum and orbit.maximum < hull.hi
+        assert (chain.q0, chain.q1) == (level.minimum, level.maximum)
 
     def test_level_zero_clamp_is_the_period_three_truncation(self):
         chain = doubling_chain(0)
