@@ -43,6 +43,7 @@ from .exact_pwl import (
     PwlMap,
     as_fraction,
     fixed_points_of_iterate,
+    highest_orbit_below,
     is_orbit_of,
     iter_closed_walks,
     least_period,
@@ -91,6 +92,7 @@ from .tent_constructions import (
     TruncatedMap,
     doubling_chain,
     minimal_diameter_orbit,
+    narrowest_tent_orbit,
     period_spectrum,
     realized_spectrum_set,
     t_infinity_level,

@@ -45,11 +45,11 @@ def _emit_json(obj: dict) -> None:
 def _parse_pattern(text: str) -> patterns.CyclicPattern:
     text = text.strip()
     if text.startswith("["):
-        try:
-            entries = json.loads(text)
-        except RecursionError:
-            raise InvalidPattern("the pattern's JSON nests too deeply") from None
-        return patterns.CyclicPattern(tuple(entries))
+        # a one-line pattern is a flat list, so any inner bracket is refused
+        # here: where json.loads meets a deep one differs between Pythons
+        if "[" in text[1:] or "{" in text:
+            raise InvalidPattern("the pattern's JSON nests too deeply")
+        return patterns.CyclicPattern(tuple(json.loads(text)))
     return patterns.CyclicPattern.from_cycle_string(text)
 
 
@@ -141,7 +141,7 @@ def _cmd_tent(args) -> None:
         _require_listable(args.spectrum, args.walk_budget, "periods")
     base = tent.tent_map()
     if args.action in ("pk", "truncate"):
-        orbit = tent.minimal_diameter_orbit(base, args.k, piece_budget=args.piece_budget)
+        orbit = tent.narrowest_tent_orbit(base, args.k, piece_budget=args.piece_budget)
     if args.action == "pk":
         _emit_json({"k": args.k, "orbit": to_wire(orbit), "diameter": to_wire(orbit.diameter)})
     elif args.action == "truncate":

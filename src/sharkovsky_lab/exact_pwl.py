@@ -30,6 +30,7 @@ from .errors import (
     NotSelfMap,
     OutOfDomain,
     PieceBudgetExceeded,
+    PreconditionError,
     WalkBudgetExceeded,
 )
 
@@ -1023,6 +1024,40 @@ def narrowest_orbit(orbits: Iterable[Orbit]) -> Optional[Orbit]:
     No orbit's points become Fractions here.
     """
     return min(orbits, key=cmp_to_key(_narrower), default=None)
+
+
+def highest_orbit_below(
+    f: PwlMap, k: int, c: RationalLike, piece_budget: int = DEFAULT_PIECE_BUDGET
+) -> Optional[Orbit]:
+    """Among f's least-period-k orbits with minimum below c, the one of highest minimum.
+
+    None when there is none.  f^k is composed whole, then solved only on
+    its laps left of c, and f is walked from each solution below c,
+    highest first.  The answer is the first walk that returns after
+    exactly k steps without going below its start: an exact orbit walk
+    from its minimum.  The minimum of each orbit below c is such a
+    solution, and every higher one was walked and rejected.
+    Raises PreconditionError when f^k has an identity lap left of c,
+    whose points form a continuum.
+    """
+    if k < 1:
+        raise ValueError("iterate order must be >= 1")
+    c = as_fraction(c)
+    cq = _q(c)
+    g = f.iterate(k, piece_budget)._pairs
+    points, laps = _fixed_structure(g[: _locate(g, *cq) + 1])  # the laps up to c
+    if laps and not _le(cq, laps[0][0]):
+        raise PreconditionError(f"f^{k} is the identity on a lap left of {c}")
+    for y in reversed(points):
+        if _le(cq, y):
+            continue
+        walk, cur = [y], _eval_pairs(f._pairs, y)
+        while cur != y and len(walk) < k and _le(y, cur):
+            walk.append(cur)
+            cur = _eval_pairs(f._pairs, cur)
+        if cur == y and len(walk) == k:
+            return Orbit._of(tuple(sorted(walk, key=_sort_key(walk))))
+    return None
 
 
 # ---------------------------------------------------------------------------

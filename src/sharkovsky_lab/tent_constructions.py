@@ -20,6 +20,7 @@ from .exact_pwl import (
     Interval,
     Orbit,
     PwlMap,
+    highest_orbit_below,
     is_orbit_of,
     markov_orbit_counts,
     narrowest_orbit,
@@ -36,16 +37,45 @@ def tent_map() -> PwlMap:
 def minimal_diameter_orbit(
     f: PwlMap, k: int, *, piece_budget: int = DEFAULT_PIECE_BUDGET
 ) -> Orbit:
-    """Among f's least-period-k orbits, one of minimal diameter.
+    """Among f's least-period-k orbits, one of minimal diameter, for any map f.
 
-    Ties break toward the smallest minimum point.  Orbits carried by
-    identity laps (a continuum) have no well-defined minimal diameter and
-    are not considered; they never occur for the tent family.
+    A census of every solution of f^k(x) = x.  Ties break toward the
+    smallest minimum point.  Orbits carried by identity laps (a continuum)
+    have no well-defined minimal diameter and are not considered.  The tent
+    and its clamps take :func:`narrowest_tent_orbit`, which censuses nothing;
+    this stays the route for other maps and the tests' oracle for that one.
     """
     best = narrowest_orbit(periodic_orbits(f, k, piece_budget).orbits)
     if best is None:
         raise NoSuchOrbit(f"no least-period-{k} orbit of the map")
     return best
+
+
+def narrowest_tent_orbit(
+    f: PwlMap, k: int, *, piece_budget: int = DEFAULT_PIECE_BUDGET
+) -> Orbit:
+    """minimal_diameter_orbit(f, k) for a map f whose period-k orbits are tent orbits.
+
+    f is the tent T, or a clamp of it whose least-period-k orbits T permutes
+    (each level of :func:`doubling_chain`).  The answer is f's period-k orbit
+    of highest minimum below 1/2 (:func:`highest_orbit_below`), by this lemma.
+
+    Let O be a T-orbit of least period at least 2, with minimum m and
+    maximum M.  Then m > 0, since 0 is fixed.  Let y in O map to m.  If
+    y < 1/2 then m = 2y >= 2m > m, and y = 1/2 gives m = 1 >= M; so y > 1/2.
+    T falls on [1/2, 1], so m <= T(M) <= T(y) = m: m = 2 - 2M, and
+    diam O = 1 - 3m/2.  And m < 1/2: on [1/2, 1], T is x -> 2 - 2x, whose n-th iterate is
+    x -> 2/3 + (-2)^n (x - 2/3), so its only periodic point is the fixed 2/3.
+    So the narrowest period-k orbit has the highest minimum, below 1/2, and
+    it is unique, since two orbits with one minimum are one orbit.  For
+    k = 1 the only solution below 1/2 is 0, the census's tie-break answer.
+    The slopes of T and of its clamps are 0 and +-2, so no iterate has an
+    identity lap, and the search never refuses.
+    """
+    orbit = highest_orbit_below(f, k, Fraction(1, 2), piece_budget)
+    if orbit is None:
+        raise NoSuchOrbit(f"no least-period-{k} orbit of the map")
+    return orbit
 
 
 @dataclass(frozen=True)
@@ -133,22 +163,21 @@ def doubling_chain(
     """Build orbits Q_{3 * 2^j} of the tent map for j = 0..levels, nesting hulls.
 
     Each level is the minimal-diameter orbit of twice the previous period
-    of the truncation at the previous level; the construction verifies
-    that the hulls nest strictly.
+    of the truncation at the previous level (:func:`narrowest_tent_orbit`);
+    the construction verifies that the hulls nest strictly.
     """
     if levels < 0:
         raise ValueError("levels must be >= 0")
     base = tent_map()
-    orbits = [minimal_diameter_orbit(base, 3, piece_budget=piece_budget)]
+    orbits = [narrowest_tent_orbit(base, 3, piece_budget=piece_budget)]
     for _ in range(levels):
         prev = orbits[-1]
         # g is the tent T wherever T's value lies in hull(prev), else a hull end.  The
         # ends lie on prev, of least period k, so no g-orbit of period 2k meets g != T:
-        # g's are T's inside the hull.  g's slopes are 0 and +-2, so no iterate of g
-        # has an identity lap, and the census misses no orbit.
+        # g's are T's inside the hull, so narrowest_tent_orbit's lemma holds among them.
         k = prev.period
         g = truncate_at_orbit(base, prev).map
-        orbit = minimal_diameter_orbit(g, 2 * k, piece_budget=piece_budget)
+        orbit = narrowest_tent_orbit(g, 2 * k, piece_budget=piece_budget)
         if not (prev.minimum < orbit.minimum and orbit.maximum < prev.maximum):
             raise CertificationFailed(
                 f"hull of period-{orbit.period} orbit fails to nest strictly"

@@ -332,7 +332,7 @@ class TestTent:
         def refuse(*args, **kwargs):
             raise AssertionError("the listing check comes before anything is built")
 
-        monkeypatch.setattr(tent_constructions, "minimal_diameter_orbit", refuse)
+        monkeypatch.setattr(tent_constructions, "narrowest_tent_orbit", refuse)
         code, out, err = invoke(capsys, "tent", "truncate", "1", "--spectrum", "1000000000000")
         assert code == 3 and not out
         assert err == "budget exceeded: more than 1000000 periods to list\n"
@@ -351,6 +351,31 @@ class TestTent:
         code, out, err = invoke(capsys, "tent", "pk", "21")
         assert code == 3 and not out
         assert err == "budget exceeded: composition needs more than 1048576 breakpoints\n"
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_pk_below_one_is_refused_before_composing(self, capsys, monkeypatch, k):
+        def refuse(*args):
+            raise AssertionError("the order is checked before anything is composed")
+
+        monkeypatch.setattr(exact_pwl.PwlMap, "iterate", refuse)
+        code, out, err = invoke(capsys, "tent", "pk", k)
+        assert code == 2 and not out
+        assert err == "error: iterate order must be >= 1\n"
+
+    def test_tent_orbits_census_nothing(self, capsys, monkeypatch):
+        # pk, truncate and every chain level walk from tent^k's solutions
+        # below 1/2 and never sort all of them into orbits
+        def refuse(*args):
+            raise AssertionError("the tent's orbits come from the lowest-orbit lemma")
+
+        monkeypatch.setattr(exact_pwl, "_census", refuse)
+        payload = invoke_json(capsys, "tent", "pk", "14")
+        assert len(payload["orbit"]) == 14 and payload["diameter"] == "2594/5461"
+        payload = invoke_json(capsys, "tent", "truncate", "5", "--spectrum", "30")
+        realized = [row["period"] for row in payload["spectrum"] if row["orbit_count"]]
+        assert realized == forced_periods_upto(5, 30)
+        payload = invoke_json(capsys, "tent", "chain", "--levels", "3")
+        assert [len(level) for level in payload["levels"]] == [3, 6, 12, 24]
 
     def test_chain(self, capsys):
         payload = invoke_json(capsys, "tent", "chain", "--levels", "1")

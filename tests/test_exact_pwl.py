@@ -27,6 +27,7 @@ from sharkovsky_lab import (
     OutOfDomain,
     PeriodicOrbits,
     PieceBudgetExceeded,
+    PreconditionError,
     PwlMap,
     SharkovskyLabError,
     SpectrumEntry,
@@ -35,6 +36,7 @@ from sharkovsky_lab import (
     connect_the_dots,
     divisors,
     fixed_points_of_iterate,
+    highest_orbit_below,
     is_orbit_of,
     least_period,
     minimal_diameter_orbit,
@@ -1855,7 +1857,7 @@ def diameter_queries(draw):
     return f, draw(st.integers(1, top))
 
 
-class TestWindowedSearch:
+class TestWholeDomainSearch:
     @settings(max_examples=120, deadline=None)
     @given(diameter_queries())
     def test_matches_the_whole_domain_census(self, query):
@@ -1904,3 +1906,54 @@ class TestWindowedSearch:
             assert "points" not in vars(kernel)  # the end pairs sufficed
             assert repr(kernel) == repr(fractions)
             assert all(type(p) is F for p in kernel.points)
+
+
+def reference_highest_orbit_below(f, k, c):
+    """The census's highest-minimum orbit below c, refused beside a continuum."""
+    if any(lap.lo < c for lap in fixed_points_of_iterate(f, k).identity_laps):
+        raise PreconditionError("an identity lap left of c")
+    below = [o for o in periodic_orbits(f, k) if o.minimum < c]
+    return max(below, key=lambda o: o.minimum, default=None)
+
+
+@st.composite
+def below_queries(draw):
+    """A map, a period and a cut c: anywhere near the domain, or at a solution."""
+    f, k = draw(diameter_queries())
+    fixed = fixed_points_of_iterate(f, k)
+    if fixed.points and draw(st.booleans()):
+        return f, k, draw(st.sampled_from(fixed.points))
+    dom = f.domain
+    share = draw(st.fractions(min_value=F(-1, 4), max_value=F(5, 4), max_denominator=24))
+    return f, k, dom.lo + dom.length * share
+
+
+class TestHighestOrbitBelow:
+    @settings(max_examples=200, deadline=None)
+    @given(below_queries())
+    def test_matches_the_census_oracle(self, query):
+        f, k, c = query
+        try:
+            expected = reference_highest_orbit_below(f, k, c)
+        except PreconditionError:
+            with pytest.raises(PreconditionError, match="identity on a lap left of"):
+                highest_orbit_below(f, k, c)
+        else:
+            assert highest_orbit_below(f, k, c) == expected
+
+    def test_an_identity_lap_left_of_c_is_refused(self):
+        # the swap x -> 1 - x: its square is the identity on [0, 1]
+        with pytest.raises(PreconditionError, match="identity on a lap left of 1/2"):
+            highest_orbit_below(NEG, 2, F(1, 2))
+        assert highest_orbit_below(NEG, 2, 0) is None  # the lap starts at c
+        assert highest_orbit_below(NEG, 1, F(1, 2)) is None  # 1/2 is not below 1/2
+        assert list(highest_orbit_below(NEG, 1, 1)) == [F(1, 2)]
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_the_order_is_checked_before_composing(self, k, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("nothing is composed")
+
+        monkeypatch.setattr(PwlMap, "iterate", refuse)
+        with pytest.raises(ValueError, match="iterate order must be >= 1"):
+            highest_orbit_below(TENT, k, F(1, 2))

@@ -14,6 +14,7 @@ from sharkovsky_lab import (
     forced_periods_upto,
     is_orbit_of,
     minimal_diameter_orbit,
+    narrowest_tent_orbit,
     orbit_of,
     period_spectrum,
     periodic_orbits,
@@ -55,6 +56,31 @@ class TestMinimalDiameterOrbit:
         trunc = truncate_at_orbit(TENT, minimal_diameter_orbit(TENT, 5))
         with pytest.raises(NoSuchOrbit):
             minimal_diameter_orbit(trunc.map, 3)
+
+
+class TestNarrowestTentOrbit:
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_equals_the_census(self, k):
+        assert narrowest_tent_orbit(TENT, k) == minimal_diameter_orbit(TENT, k)
+
+    @pytest.mark.parametrize("k", range(2, 17))
+    def test_the_lemma_holds(self, k):
+        # the minimum is T(max), below 1/2, so diam = 1 - 3 min / 2
+        orbit = narrowest_tent_orbit(TENT, k)
+        assert orbit.minimum < F(1, 2) < orbit.maximum
+        assert orbit.minimum == 2 - 2 * orbit.maximum == TENT(orbit.maximum)
+
+    def test_chain_levels_equal_the_census_on_each_truncation(self):
+        chain = doubling_chain(5)
+        assert chain.levels[0] == minimal_diameter_orbit(TENT, 3)
+        for prev, level in zip(chain.levels, chain.levels[1:]):
+            g = truncate_at_orbit(TENT, prev).map
+            assert level == minimal_diameter_orbit(g, 2 * prev.period)
+
+    def test_no_such_orbit(self):
+        trunc = truncate_at_orbit(TENT, minimal_diameter_orbit(TENT, 5))
+        with pytest.raises(NoSuchOrbit, match="no least-period-3 orbit"):
+            narrowest_tent_orbit(trunc.map, 3)
 
 
 class TestTruncation:
