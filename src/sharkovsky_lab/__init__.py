@@ -42,6 +42,7 @@ from .exact_pwl import (
     PeriodicOrbits,
     PwlMap,
     as_fraction,
+    budgets,
     fixed_points_of_iterate,
     highest_orbit_below,
     is_orbit_of,

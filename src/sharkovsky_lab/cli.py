@@ -11,7 +11,9 @@ console script exits 1, writing nothing to stderr, when stdout closes early
 
 Budgets come from ``--piece-budget`` / ``--walk-budget``, with environment
 overrides SHARKOVSKY_PIECE_BUDGET and SHARKOVSKY_WALK_BUDGET.  Either way a
-budget must be a positive integer; anything else is a usage error.
+budget must be a positive integer; anything else is a usage error.  One
+``with budgets(...)`` block (see :func:`exact_pwl.budgets`) sets both caps
+around the command, so no library call is handed a budget.
 """
 
 from __future__ import annotations
@@ -26,10 +28,16 @@ from typing import NoReturn, Optional, Sequence
 from . import pattern_dynamics as patterns
 from . import tent_constructions as tent
 from . import witnesses
-from .errors import (
-    BudgetError, InvalidPattern, PreconditionError, SharkovskyLabError, WalkBudgetExceeded,
+from .errors import BudgetError, InvalidPattern, PreconditionError, SharkovskyLabError
+from .exact_pwl import (
+    DEFAULT_PIECE_BUDGET,
+    DEFAULT_WALK_BUDGET,
+    Orbit,
+    budgets,
+    connect_the_dots_points,
+    orbit_of,
+    require_listable,
 )
-from .exact_pwl import DEFAULT_PIECE_BUDGET, Orbit, connect_the_dots_points, orbit_of
 from .serialize import SCHEMA, to_wire
 from .sharkovsky_order import forced_periods_upto, sharkovsky_compare
 
@@ -68,14 +76,8 @@ def _cmd_compare(args) -> None:
     _emit_json({"m": args.m, "n": args.n, "order": order.value})
 
 
-def _require_listable(count: int, walk_budget: int, items: str) -> None:
-    """WalkBudgetExceeded past the walk budget: one item listed per unit."""
-    if count > walk_budget:
-        raise WalkBudgetExceeded(f"more than {walk_budget} {items} to list")
-
-
 def _cmd_forced(args) -> None:
-    _require_listable(args.upto, args.walk_budget, "periods")
+    require_listable(args.upto, "periods")
     _emit_json(
         {
             "m": args.m,
@@ -100,7 +102,7 @@ def _cmd_pattern(args) -> None:
                 }
             )
     else:  # stefan
-        _require_listable(args.m, args.walk_budget, "points")
+        require_listable(args.m, "points")
         pattern = patterns.stefan_pattern(args.m)
         _emit_json(
             {
@@ -123,9 +125,9 @@ def _cmd_witness(args) -> None:
         if args.period is None:
             raise PreconditionError("--period is required for 'witness odd'")
         # the orbit lists period points, and the certificate walks as many steps
-        _require_listable(args.period, args.walk_budget, "orbit points")
+        require_listable(args.period, "orbit points")
         period, trace = args.period, witnesses.analyze_odd_orbit(f, realization)
-        point = witnesses.witness_from_trace(f, trace, period, piece_budget=args.piece_budget)
+        point = witnesses.witness_from_trace(f, trace, period)
         payload = {"period": period, **to_wire(trace, {"map", "orbit"})}
     payload.update(pattern=pattern.cycle_string(), witness=to_wire(point))
     if args.json:
@@ -138,20 +140,15 @@ def _cmd_witness(args) -> None:
 
 def _cmd_tent(args) -> None:
     if args.action == "truncate":
-        _require_listable(args.spectrum, args.walk_budget, "periods")
+        require_listable(args.spectrum, "periods")
     base = tent.tent_map()
     if args.action in ("pk", "truncate"):
-        orbit = tent.narrowest_tent_orbit(base, args.k, piece_budget=args.piece_budget)
+        orbit = tent.narrowest_tent_orbit(base, args.k)
     if args.action == "pk":
         _emit_json({"k": args.k, "orbit": to_wire(orbit), "diameter": to_wire(orbit.diameter)})
     elif args.action == "truncate":
         truncated = tent.truncate_at_orbit(base, orbit)
-        entries = tent.period_spectrum(
-            truncated.map,
-            args.spectrum,
-            piece_budget=args.piece_budget,
-            walk_budget=args.walk_budget,
-        )
+        entries = tent.period_spectrum(truncated.map, args.spectrum)
         if args.format == "csv":
             # the values are ints and bools: one JSON table, cut at "],[" into rows
             table = json.dumps([list(e.values()) for e in to_wire(entries)], separators=(",", ":"))
@@ -160,20 +157,14 @@ def _cmd_tent(args) -> None:
             wire = to_wire(truncated, {"base", "anchor_orbit"})
             _emit_json({"k": args.k, **wire, "spectrum": to_wire(entries)})
     else:  # chain
-        chain = tent.doubling_chain(args.levels, piece_budget=args.piece_budget)
+        chain = tent.doubling_chain(args.levels)
         clamped = to_wire(tent.t_infinity_level(chain))
         _emit_json({**to_wire(chain, {"base"}), "clamped_map": clamped})
 
 
 def _cmd_spectrum(args) -> None:
     pattern = _parse_pattern(args.pattern)
-    realized = patterns.realized_periods(
-        pattern,
-        args.upto,
-        method=args.method,
-        piece_budget=args.piece_budget,
-        walk_budget=args.walk_budget,
-    )
+    realized = patterns.realized_periods(pattern, args.upto, method=args.method)
     _emit_json(
         {
             "pattern": pattern.cycle_string(),
@@ -274,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 #: (attribute, environment variable, default) for each budget flag
 _BUDGETS = (
     ("piece_budget", "SHARKOVSKY_PIECE_BUDGET", DEFAULT_PIECE_BUDGET),
-    ("walk_budget", "SHARKOVSKY_WALK_BUDGET", patterns.DEFAULT_WALK_BUDGET),
+    ("walk_budget", "SHARKOVSKY_WALK_BUDGET", DEFAULT_WALK_BUDGET),
 )
 
 _parser: Optional[argparse.ArgumentParser] = None
@@ -302,7 +293,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        args.func(args)
+        with budgets(args.piece_budget, args.walk_budget):
+            args.func(args)
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3

@@ -9,14 +9,20 @@ new value, and a Fraction is built only where a value leaves it.  A map is
 stored as its ordered breakpoint list, kept in canonical form (no three
 consecutive collinear breakpoints), which makes structural equality
 coincide with functional equality on a common domain.
+
+Two caps bound every exact claim: the piece cap on composed maps and the
+walk cap on closed walks and the additions that count them.  No function
+takes a cap; a ``with budgets(piece, walk):`` block sets both.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from itertools import islice, product
 from math import gcd
 from typing import Callable, Iterable, Iterator, Optional, Union
@@ -41,6 +47,36 @@ RationalLike = Union[Fraction, int, str]
 DEFAULT_PIECE_BUDGET = 1 << 20
 #: Cap on the closed walks enumerated, and on the additions that count them.
 DEFAULT_WALK_BUDGET = 1_000_000
+
+#: The (piece, walk) caps in force; see budgets.
+_caps: ContextVar[tuple[int, int]] = ContextVar(
+    "caps", default=(DEFAULT_PIECE_BUDGET, DEFAULT_WALK_BUDGET)
+)
+
+
+@contextmanager
+def budgets(piece: int = DEFAULT_PIECE_BUDGET, walk: int = DEFAULT_WALK_BUDGET) -> Iterator[None]:
+    """Run the block under these caps; a cap left out takes its default.
+
+    The caps live in a context variable (PEP 567), so each thread and each
+    asyncio task has its own, and they are restored when the block ends,
+    also by an exception.  They are read where the work runs, once per
+    composition, walk count or walk generator: a generator such as
+    :func:`periodic_orbits_upto` or :func:`iter_closed_walks` that is
+    advanced outside the block runs under the caps in force there.
+    """
+    token = _caps.set((piece, walk))
+    try:
+        yield
+    finally:
+        _caps.reset(token)
+
+
+def require_listable(count: int, items: str) -> None:
+    """WalkBudgetExceeded past the walk cap: one item listed per unit."""
+    walk = _caps.get()[1]
+    if count > walk:
+        raise WalkBudgetExceeded(f"more than {walk} {items} to list")
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -206,9 +242,9 @@ class IntervalLoop:
 # with strictly increasing x.  Unlike PwlMap it need not be a self-map, so a
 # map can be restricted to a window before it is composed.  Only this module
 # knows the format: other modules reach the kernel through PwlMap, Orbit,
-# fixed_structure_on, level_set_on, narrowest_orbit, markov_partition,
-# markov_orbit_counts, require_cycle and follow_cycle, which take and return
-# Fractions or plain ints.
+# fixed_structure_on, level_set_on, markov_partition, markov_orbit_counts,
+# require_cycle and follow_cycle, which take and return Fractions or plain
+# ints.
 # ---------------------------------------------------------------------------
 
 Q = tuple[int, int]
@@ -363,7 +399,7 @@ def _check_values(pairs: Pairs, f: Pairs) -> None:
             raise NotSelfMap(f"value {Fraction(yn, yd)} escapes domain {_span(f)}")
 
 
-def _compose(outer: Pairs, inner: Pairs, piece_budget: int) -> Pairs:
+def _compose(outer: Pairs, inner: Pairs) -> Pairs:
     """Canonical breakpoints of x -> outer(inner(x)), in one pass.
 
     inner's values must lie in outer's domain.  Each lap of inner is cut
@@ -379,9 +415,10 @@ def _compose(outer: Pairs, inner: Pairs, piece_budget: int) -> Pairs:
     is not 0.  So only the image of an inner breakpoint is tested, against
     the carried slope of the last kept segment, as in _canonical.  The kept
     list only grows or replaces its last point, so PieceBudgetExceeded as
-    soon as it holds more than piece_budget points is exactly "the
-    canonical result has more than piece_budget breakpoints".
+    soon as it holds more than the piece cap's points (see budgets) is
+    exactly "the canonical result has more than that many breakpoints".
     """
+    cap = _caps.get()[0]
 
     def place(yn: int, yd: int) -> tuple[int, int, Q]:
         """How many outer x are <= y and < y, and outer's value at y."""
@@ -427,15 +464,13 @@ def _compose(outer: Pairs, inner: Pairs, piece_budget: int) -> Pairs:
         else:
             out.append((x1n, x1d, yn, yd))
             sn, sd, loose = tn, td, True
-            if len(out) > piece_budget:
-                raise PieceBudgetExceeded(
-                    f"composition needs more than {piece_budget} breakpoints"
-                )
+            if len(out) > cap:
+                raise PieceBudgetExceeded(f"composition needs more than {cap} breakpoints")
         x0n, x0d, y0n, y0d, i0, below0 = x1n, x1d, y1n, y1d, i1, below1
     return tuple(out)
 
 
-def _iterates(f: Pairs, first: Pairs, upto: int, piece_budget: int) -> Iterator[Pairs]:
+def _iterates(f: Pairs, first: Pairs, upto: int) -> Iterator[Pairs]:
     """first, f o first, ..., f^(upto-1) o first: one composition per step.
 
     f must be a checked self-map and first's values must lie in its
@@ -445,7 +480,7 @@ def _iterates(f: Pairs, first: Pairs, upto: int, piece_budget: int) -> Iterator[
     pairs = first
     yield pairs
     for _ in range(upto - 1):
-        pairs = _compose(f, pairs, piece_budget)
+        pairs = _compose(f, pairs)
         yield pairs
 
 
@@ -603,29 +638,24 @@ def _fixed_points(structure: Structure) -> "FixedPoints":
     return FixedPoints(tuple(map(_fraction, points)), tuple(_intervals(laps)))
 
 
-def _solve_on(f: Pairs, lo: Q, hi: Q, n: int, piece_budget: int) -> Structure:
+def _solve_on(f: Pairs, lo: Q, hi: Q, n: int) -> Structure:
     """_fixed_structure of f^n on [lo, hi]; a degenerate window is one walk."""
     if lo == hi:
         cur = lo
         for _ in range(n):
             cur = _eval_pairs(f, cur)
         return [lo] if cur == lo else [], []
-    return _fixed_structure(_last(_iterates(f, _restrict(f, lo, hi), n, piece_budget)))
+    return _fixed_structure(_last(_iterates(f, _restrict(f, lo, hi), n)))
 
 
-def fixed_structure_on(
-    f: "PwlMap",
-    window: Interval,
-    n: int = 1,
-    piece_budget: int = DEFAULT_PIECE_BUDGET,
-) -> "FixedPoints":
+def fixed_structure_on(f: "PwlMap", window: Interval, n: int = 1) -> "FixedPoints":
     """Solutions of f^n(x) = x for x in the window: points plus identity laps.
 
     f is restricted to the window before it is composed, so the work
     scales with the window's share of the breakpoints.  A degenerate
     window yields its point when f^n fixes it.
     """
-    return _fixed_points(_solve_on(f._pairs, *window._span, n, piece_budget))
+    return _fixed_points(_solve_on(f._pairs, *window._span, n))
 
 
 def level_set_on(f: "PwlMap", c: Fraction, window: Interval) -> list[Interval]:
@@ -689,25 +719,25 @@ class PwlMap:
     def __call__(self, x: RationalLike) -> Fraction:
         return _fraction(_eval_pairs(self._pairs, _q(as_fraction(x))))
 
-    def iterate(self, n: int, piece_budget: int = DEFAULT_PIECE_BUDGET) -> "PwlMap":
+    def iterate(self, n: int) -> "PwlMap":
         """The exact n-fold composition as a PwlMap, by repeated squaring.
 
         floor(log2 n) + popcount(n) - 1 compositions where the chain f, f^2,
         ..., f^n takes n - 1: 5 and 16,729 breakpoints against 13 and 32,777
         for tent^14.  Each composition is one pass that keeps its result
         canonical as it cuts, and raises exactly when that result passes
-        ``piece_budget``.  Each power and product is an iterate f^j with
-        j <= n, which the chain builds too: so :class:`PieceBudgetExceeded`
-        comes only where the chain raises.
+        the piece cap (see :func:`budgets`).  Each power and product is an
+        iterate f^j with j <= n, which the chain builds too: so
+        :class:`PieceBudgetExceeded` comes only where the chain raises.
         """
         if n < 1:
             raise ValueError("iteration count must be >= 1")
         power, result = self._pairs, None
         for i, bit in enumerate(bin(n)[:1:-1]):  # the low bit first
             if i:
-                power = _compose(power, power, piece_budget)
+                power = _compose(power, power)
             if bit == "1":
-                result = power if result is None else _compose(power, result, piece_budget)
+                result = power if result is None else _compose(power, result)
         return PwlMap._of(result)
 
     def image(self, J: Interval) -> Interval:
@@ -821,13 +851,11 @@ class PeriodicOrbits:
         return self.orbits[i]
 
 
-def fixed_points_of_iterate(
-    f: PwlMap, k: int, piece_budget: int = DEFAULT_PIECE_BUDGET
-) -> FixedPoints:
+def fixed_points_of_iterate(f: PwlMap, k: int) -> FixedPoints:
     """All exact solutions of f^k(x) = x, ascending and deduplicated."""
     if k < 1:
         raise ValueError("iterate order must be >= 1")
-    return _fixed_points(_fixed_structure(f.iterate(k, piece_budget)._pairs))
+    return _fixed_points(_fixed_structure(f.iterate(k)._pairs))
 
 
 def _orbit_walk(f: Pairs, y: Q, k: int) -> list[Q]:
@@ -938,9 +966,7 @@ def _census(f: PwlMap, k: int, fixed: Structure) -> PeriodicOrbits:
     return PeriodicOrbits(tuple(map(Orbit._of, map(tuple, kept.values()))), tuple(continuum))
 
 
-def periodic_orbits(
-    f: PwlMap, k: int, piece_budget: int = DEFAULT_PIECE_BUDGET
-) -> PeriodicOrbits:
+def periodic_orbits(f: PwlMap, k: int) -> PeriodicOrbits:
     """All orbits of least period exactly k, ordered by minimum point.
 
     Identity laps of f^k that still contain least-period-k points after
@@ -950,37 +976,34 @@ def periodic_orbits(
     """
     if k < 1:
         raise ValueError("iterate order must be >= 1")
-    fixed = _fixed_structure(f.iterate(k, piece_budget)._pairs)
-    return _census(f, k, fixed)
+    return _census(f, k, _fixed_structure(f.iterate(k)._pairs))
 
 
-def periodic_orbits_upto(
-    f: PwlMap, upto: int, piece_budget: int = DEFAULT_PIECE_BUDGET
-) -> Iterator[PeriodicOrbits]:
+def periodic_orbits_upto(f: PwlMap, upto: int) -> Iterator[PeriodicOrbits]:
     """periodic_orbits(f, k) for k = 1, ..., upto, in order.
 
     Each iterate is composed once, from the one before, so a spectrum up
-    to J performs J - 1 compositions.  A composition over the piece
-    budget raises from the advance that needs it, at the same k in either
-    order, and ends the generator.
+    to J performs J - 1 compositions.  A composition over the piece cap
+    in force at the advance that needs it raises there, at the same k in
+    either order, and ends the generator.
     """
     if upto < 1:
         raise ValueError("period bound must be >= 1")
-    return _censuses(f, upto, piece_budget)
+    return _censuses(f, upto)
 
 
-def _censuses(f: PwlMap, upto: int, piece_budget: int) -> Iterator[PeriodicOrbits]:
+def _censuses(f: PwlMap, upto: int) -> Iterator[PeriodicOrbits]:
     """periodic_orbits_upto's censuses, each iterate composed as f^(k-1) o f.
 
     Powers of f commute and canonical breakpoints are unique, so these are
     the pairs of f o f^(k-1), and _compose raises exactly when they pass
-    piece_budget: at the same k, with the same message.  With f inner, its
+    the piece cap: at the same k, with the same message.  With f inner, its
     few laps cut f^(k-1)'s breakpoints in _compose's tight crossing loop,
     with no per-lap overhead on each of f^(k-1)'s laps.
     """
     g = f._pairs
     for k in range(1, upto + 1):
-        g = g if k == 1 else _compose(g, f._pairs, piece_budget)
+        g = g if k == 1 else _compose(g, f._pairs)
         yield _census(f, k, _fixed_structure(g))
 
 
@@ -1010,25 +1033,7 @@ def is_orbit_of(f: PwlMap, orbit: Orbit) -> bool:
     return orbit_permutation(f, orbit) is not None
 
 
-def _narrower(o: Orbit, p: Orbit) -> int:
-    """The sign of o's (diameter, minimum) against p's, cross-multiplied."""
-    (an, ad), (bn, bd) = o._pairs[0], o._pairs[-1]
-    (cn, cd), (en, ed) = p._pairs[0], p._pairs[-1]
-    wider = (bn * ad - an * bd) * cd * ed - (en * cd - cn * ed) * ad * bd
-    return wider or an * cd - cn * ad
-
-
-def narrowest_orbit(orbits: Iterable[Orbit]) -> Optional[Orbit]:
-    """The orbit of least (diameter, minimum), None when there is none.
-
-    No orbit's points become Fractions here.
-    """
-    return min(orbits, key=cmp_to_key(_narrower), default=None)
-
-
-def highest_orbit_below(
-    f: PwlMap, k: int, c: RationalLike, piece_budget: int = DEFAULT_PIECE_BUDGET
-) -> Optional[Orbit]:
+def highest_orbit_below(f: PwlMap, k: int, c: RationalLike) -> Optional[Orbit]:
     """Among f's least-period-k orbits with minimum below c, the one of highest minimum.
 
     None when there is none.  f^k is composed whole, then solved only on
@@ -1044,7 +1049,7 @@ def highest_orbit_below(
         raise ValueError("iterate order must be >= 1")
     c = as_fraction(c)
     cq = _q(c)
-    g = f.iterate(k, piece_budget)._pairs
+    g = f.iterate(k)._pairs
     points, laps = _fixed_structure(g[: _locate(g, *cq) + 1])  # the laps up to c
     if laps and not _le(cq, laps[0][0]):
         raise PreconditionError(f"f^{k} is the identity on a lap left of {c}")
@@ -1108,13 +1113,13 @@ class MarkovGraph:
         return "\n".join(lines)
 
 
-def _partition(f: Pairs, piece_budget: int) -> tuple[list[int], MarkovGraph]:
-    """markov_partition, and the position in S of f at each point of S."""
+def _partition(f: Pairs, limit: int) -> tuple[list[int], MarkovGraph]:
+    """markov_partition within limit points, and the position in S of f at each point of S."""
     closure, new = set(), {p[:2] for p in f}
     while new:
         closure |= new
-        if len(closure) > piece_budget:
-            raise PieceBudgetExceeded(f"the breakpoints' closure passes {piece_budget} points")
+        if len(closure) > limit:
+            raise PieceBudgetExceeded(f"the breakpoints' closure passes {limit} points")
         new = {_eval_pairs(f, y) for y in new} - closure
     points = sorted(closure, key=_sort_key(closure))
     position = {y: i for i, y in enumerate(points)}
@@ -1122,15 +1127,15 @@ def _partition(f: Pairs, piece_budget: int) -> tuple[list[int], MarkovGraph]:
     return image, MarkovGraph.from_images(image)
 
 
-def markov_partition(f: PwlMap, piece_budget: int = DEFAULT_PIECE_BUDGET) -> MarkovGraph:
+def markov_partition(f: PwlMap) -> MarkovGraph:
     """The covering graph of the nodes between consecutive points of S.
 
     S, the forward closure of f's breakpoints, holds them and f(S) lies in
     S, so each node maps affinely onto the nodes between its ends' images,
     or onto a point; for a pattern's connect-the-dots map this is
-    markov_graph(pattern).  PieceBudgetExceeded past piece_budget points.
+    markov_graph(pattern).  PieceBudgetExceeded past the piece cap's points.
     """
-    return _partition(f._pairs, piece_budget)[1]
+    return _partition(f._pairs, _caps.get()[0])[1]
 
 
 def iter_closed_walks(graph: MarkovGraph, n: int) -> Iterator[tuple[int, ...]]:
@@ -1144,9 +1149,11 @@ def iter_closed_walks(graph: MarkovGraph, n: int) -> Iterator[tuple[int, ...]]:
     becomes t + 1.  A prenecklace of length n is a least rotation exactly
     when p | n.  Every prefix of a closed walk is a path, so extending only
     along edges loses none, and the closing edge decides the rest.
+    WalkBudgetExceeded when walk number walk cap + 1 appears.
     """
     if n < 1:
         raise ValueError("walk length must be >= 1")
+    cap, tried = _caps.get()[1], 0
     succ = graph._successors
     # stack[t] yields (node, p) for position t: explicit, so no recursion limit caps n
     walk: list[int] = []
@@ -1161,24 +1168,25 @@ def iter_closed_walks(graph: MarkovGraph, n: int) -> Iterator[tuple[int, ...]]:
             low, t = walk[-p], len(walk)
             stack.append(iter([(i, p if i == low else t + 1) for i in succ[node] if i >= low]))
         elif n % p == 0 and graph.has_edge(node, walk[0] if walk else node):
+            tried += 1
+            if tried > cap:
+                raise WalkBudgetExceeded(f"more than {cap} closed walks of length {n}")
             yield (*walk, node)
 
 
-def primitive_walk_counts(
-    graph: MarkovGraph, upto: int, walk_budget: int = DEFAULT_WALK_BUDGET
-) -> list[int]:
+def primitive_walk_counts(graph: MarkovGraph, upto: int) -> list[int]:
     """[0, p(1), ..., p(upto)]: p(k) closed walks of length k repeat no shorter walk.
 
     Walks count once per starting node.  tr(A^k) counts every closed walk
     of length k, and one repeating a primitive walk of length d < k is
     counted in p(d).  A is 0/1, so row i of A^k is the sum of the rows of
     A^(k-1) at i's successors, or zero without any: the powers take
-    additions only.  Each length spends one unit of walk_budget per
+    additions only.  Each length spends one unit of the walk cap per
     addition, entries and divisor terms alike, and per 64-bit word of the
-    largest entry M of the power before, so the budget bounds the counts'
+    largest entry M of the power before, so the cap bounds the counts'
     time and size.  Once A^k = 0, A is nilpotent: every trace so far was 0
     and every later one is, so the remaining counts are 0 and spend nothing;
-    past walk_budget of them the list is refused, by the CLI's listing rule.
+    past the walk cap of them the list is refused (:func:`require_listable`).
 
     Row i is one int, entry j in bits [j w, (j + 1) w) and the row sum s_i
     in field n, so one addition adds n entries and keeps s_i exact.  Sums
@@ -1190,7 +1198,7 @@ def primitive_walk_counts(
     of n entries summing to top has top // n <= M <= top, so M is read off
     the fields only when those bounds differ in 64-bit words.
     """
-    n = graph.node_count
+    n, cap = graph.node_count, _caps.get()[1]
     succ = [[j - 1 for j in graph._successors[i]] for i in range(1, n + 1)]
     additions = n * len(graph.edges)  # entry additions per power
     fan = max(map(len, succ), default=0)
@@ -1203,10 +1211,8 @@ def primitive_walk_counts(
     for k in range(1, upto + 1):
         shorter = sieve.pop(k, [])
         spent += (additions + len(shorter)) * words
-        if spent > walk_budget:
-            raise WalkBudgetExceeded(
-                f"more than {walk_budget} walk-count additions by length {k}"
-            )
+        if spent > cap:
+            raise WalkBudgetExceeded(f"more than {cap} walk-count additions by length {k}")
         if wide and (fan * top).bit_length() > width:
             old, width = width, 2 * (fan * top).bit_length()
             rows = [sum(((r >> j * old) & mask) << j * width for j in range(n + 1)) for r in rows]
@@ -1220,8 +1226,7 @@ def primitive_walk_counts(
             trace += (row >> i * width) & mask
         rows = power
         if not any(rows):
-            if upto > walk_budget:
-                raise WalkBudgetExceeded(f"more than {walk_budget} walk counts to list")
+            require_listable(upto, "walk counts")
             return prim + [0] * (upto + 1 - k)
         prim.append(trace - sum(prim[d] for d in shorter))
         for d in (*shorter, k):
@@ -1235,19 +1240,14 @@ def primitive_walk_counts(
     return prim
 
 
-def markov_orbit_counts(
-    f: PwlMap,
-    upto: int,
-    piece_budget: int = DEFAULT_PIECE_BUDGET,
-    walk_budget: int = DEFAULT_WALK_BUDGET,
-) -> Optional[list[int]]:
+def markov_orbit_counts(f: PwlMap, upto: int) -> Optional[list[int]]:
     """[0, n(1), ..., n(upto)]: n(k) orbits of least period k, from walk counts.
 
     None when a nonflat lap has slope at most 1 in absolute value, or when
-    S (see :func:`markov_partition`) does not close within piece_budget
+    S (see :func:`markov_partition`) does not close within the piece cap's
     points, nor within upto times f's breakpoint count, past which f is
-    taken for a map that is not Markov.  The counts p(k) run under
-    walk_budget and raise WalkBudgetExceeded past it.  Otherwise every
+    taken for a map that is not Markov.  The counts p(k) run under the
+    walk cap and raise WalkBudgetExceeded past it.  Otherwise every
     lap is flat or steeper than slope 1, so no iterate has an identity
     lap, and f^k maps the points following a closed walk of length k
     affinely, expanding, onto its first node, which holds them: one is
@@ -1267,10 +1267,10 @@ def markov_orbit_counts(
     if any(0 < abs(p) <= d for p, _, d in (_lap_form(*lap) for lap in _laps(f._pairs))):
         return None
     try:
-        image, graph = _partition(f._pairs, min(piece_budget, upto * len(f._pairs)))
+        image, graph = _partition(f._pairs, min(_caps.get()[0], upto * len(f._pairs)))
     except PieceBudgetExceeded:
         return None
-    points = primitive_walk_counts(graph, upto, walk_budget)
+    points = primitive_walk_counts(graph, upto)
 
     periodic, on_s = set(range(len(image))), Counter()
     while (moved := {image[i] for i in periodic}) != periodic:
@@ -1308,10 +1308,7 @@ def require_cycle(f: PwlMap, loop: IntervalLoop) -> None:
 
 
 def follow_cycle(
-    f: PwlMap,
-    loop: IntervalLoop,
-    require_least_period: bool = False,
-    piece_budget: int = DEFAULT_PIECE_BUDGET,
+    f: PwlMap, loop: IntervalLoop, require_least_period: bool = False
 ) -> Optional[Fraction]:
     """The first point y met with f^i(y) in J_i for each i and f^n(y) = y.
 
@@ -1328,16 +1325,14 @@ def follow_cycle(
     """
     pairs, spans = f._pairs, [J._span for J in loop]
     n = len(spans)
-    for y in _cycle_candidates(pairs, spans, require_least_period, piece_budget):
+    for y in _cycle_candidates(pairs, spans, require_least_period):
         period = _return_time(pairs, y, spans)
         if period is not None and (not require_least_period or period == n):
             return _fraction(y)
     return None
 
 
-def _cycle_candidates(
-    f: Pairs, spans: list[tuple[Q, Q]], least: bool, piece_budget: int
-) -> Iterator[Q]:
+def _cycle_candidates(f: Pairs, spans: list[tuple[Q, Q]], least: bool) -> Iterator[Q]:
     """The solutions of f^n(x) = x on the chain starts, in search order.
 
     A lap-aligned cycle offers the structure of f^n on its one chain start,
@@ -1348,7 +1343,7 @@ def _cycle_candidates(
     n = len(spans)
     aligned = _lap_aligned_structure(f, spans)
     structures = [aligned] if aligned is not None else (
-        _lap_aligned_structure(f, chain) or _solve_on(f, *chain[0], n, piece_budget)
+        _lap_aligned_structure(f, chain) or _solve_on(f, *chain[0], n)
         for chain in _chains(f, spans)
     )
     for points, laps in structures:

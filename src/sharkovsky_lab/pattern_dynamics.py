@@ -15,16 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import (
-    CertificationFailed,
-    InvalidPattern,
-    NotAWalk,
-    NotOddPeriod,
-    WalkBudgetExceeded,
-)
+from .errors import CertificationFailed, InvalidPattern, NotAWalk, NotOddPeriod
 from .exact_pwl import (
-    DEFAULT_PIECE_BUDGET,
-    DEFAULT_WALK_BUDGET,
     Interval,
     IntervalLoop,
     MarkovGraph,
@@ -138,23 +130,9 @@ def markov_graph(pattern: CyclicPattern) -> MarkovGraph:
     return MarkovGraph.from_images([r - 1 for r in pattern.mapping])
 
 
-def _budgeted_walks(
-    graph: MarkovGraph, n: int, walk_budget: int
-) -> Iterator[tuple[int, ...]]:
-    """iter_closed_walks, raising when walk number walk_budget + 1 appears."""
-    for tried, walk in enumerate(iter_closed_walks(graph, n), start=1):
-        if tried > walk_budget:
-            raise WalkBudgetExceeded(
-                f"more than {walk_budget} closed walks of length {n}"
-            )
-        yield walk
-
-
-def closed_walks(
-    graph: MarkovGraph, n: int, walk_budget: int = DEFAULT_WALK_BUDGET
-) -> list[tuple[int, ...]]:
+def closed_walks(graph: MarkovGraph, n: int) -> list[tuple[int, ...]]:
     """All closed walks of length n up to rotation, deterministic order."""
-    return list(_budgeted_walks(graph, n, walk_budget))
+    return list(iter_closed_walks(graph, n))
 
 
 def _node_intervals(pattern: CyclicPattern) -> tuple[Interval, ...]:
@@ -178,9 +156,7 @@ def loop_to_intervals(pattern: CyclicPattern, walk: tuple[int, ...]) -> Interval
     return IntervalLoop(tuple(nodes[node - 1] for node in walk))
 
 
-def _realized_by_walks(
-    pattern: CyclicPattern, upto: int, piece_budget: int, walk_budget: int
-) -> set[int]:
+def _realized_by_walks(pattern: CyclicPattern, upto: int) -> set[int]:
     f = connect_the_dots(pattern)
     graph = markov_graph(pattern)
     nodes = _node_intervals(pattern)
@@ -191,21 +167,15 @@ def _realized_by_walks(
         if k == pattern.size:  # the pattern's own orbit
             realized.add(k)
             continue
-        for walk in _budgeted_walks(graph, k, walk_budget):
+        for walk in iter_closed_walks(graph, k):
             loop = IntervalLoop(tuple(nodes[node - 1] for node in walk))
-            if follow_cycle(f, loop, True, piece_budget) is not None:
+            if follow_cycle(f, loop, True) is not None:
                 realized.add(k)
                 break
     return realized
 
 
-def realized_periods(
-    pattern: CyclicPattern,
-    upto: int,
-    method: str = "auto",
-    piece_budget: int = DEFAULT_PIECE_BUDGET,
-    walk_budget: int = DEFAULT_WALK_BUDGET,
-) -> set[int]:
+def realized_periods(pattern: CyclicPattern, upto: int, method: str = "auto") -> set[int]:
     """Least periods k <= upto realized by the pattern's canonical realization.
 
     Three independent routes answer it: "auto" counts primitive closed
@@ -213,7 +183,7 @@ def realized_periods(
     "matrix" route; "direct" enumerates the periodic points of each
     iterate, composing each once; "walks" searches closed walks of the
     covering graph and certifies a least-period witness along each.  The
-    matrix route composes no map and enumerates no walk; walk_budget
+    matrix route composes no map and enumerates no walk; the walk cap
     bounds its additions.  "both" runs all three and raises
     CertificationFailed, naming the period and each route's answer,
     unless they agree.
@@ -241,15 +211,15 @@ def realized_periods(
     periods = range(1, upto + 1)
     answers = {}
     if method in {"auto", "both"}:
-        prim = primitive_walk_counts(markov_graph(pattern), upto, walk_budget)
+        prim = primitive_walk_counts(markov_graph(pattern), upto)
         answers["matrix"] = {k for k in periods if prim[k] > 0 or k == pattern.size}
     if method in {"direct", "both"}:
-        censuses = periodic_orbits_upto(connect_the_dots(pattern), upto, piece_budget)
+        censuses = periodic_orbits_upto(connect_the_dots(pattern), upto)
         answers["direct"] = {
             k for k, c in zip(periods, censuses) if c.orbits or c.continuum
         }
     if method in {"walks", "both"}:
-        answers["walks"] = _realized_by_walks(pattern, upto, piece_budget, walk_budget)
+        answers["walks"] = _realized_by_walks(pattern, upto)
     realized, *others = answers.values()
     for k in periods:
         if any((k in other) != (k in realized) for other in others):

@@ -15,15 +15,12 @@ from fractions import Fraction
 
 from .errors import CertificationFailed, NoSuchOrbit, NotAnOrbit
 from .exact_pwl import (
-    DEFAULT_PIECE_BUDGET,
-    DEFAULT_WALK_BUDGET,
     Interval,
     Orbit,
     PwlMap,
     highest_orbit_below,
     is_orbit_of,
     markov_orbit_counts,
-    narrowest_orbit,
     periodic_orbits,
     periodic_orbits_upto,
 )
@@ -34,9 +31,7 @@ def tent_map() -> PwlMap:
     return PwlMap([(0, 0), (Fraction(1, 2), 1), (1, 0)])
 
 
-def minimal_diameter_orbit(
-    f: PwlMap, k: int, *, piece_budget: int = DEFAULT_PIECE_BUDGET
-) -> Orbit:
+def minimal_diameter_orbit(f: PwlMap, k: int) -> Orbit:
     """Among f's least-period-k orbits, one of minimal diameter, for any map f.
 
     A census of every solution of f^k(x) = x.  Ties break toward the
@@ -45,15 +40,13 @@ def minimal_diameter_orbit(
     and its clamps take :func:`narrowest_tent_orbit`, which censuses nothing;
     this stays the route for other maps and the tests' oracle for that one.
     """
-    best = narrowest_orbit(periodic_orbits(f, k, piece_budget).orbits)
+    best = min(periodic_orbits(f, k).orbits, key=lambda o: (o.diameter, o.minimum), default=None)
     if best is None:
         raise NoSuchOrbit(f"no least-period-{k} orbit of the map")
     return best
 
 
-def narrowest_tent_orbit(
-    f: PwlMap, k: int, *, piece_budget: int = DEFAULT_PIECE_BUDGET
-) -> Orbit:
+def narrowest_tent_orbit(f: PwlMap, k: int) -> Orbit:
     """minimal_diameter_orbit(f, k) for a map f whose period-k orbits are tent orbits.
 
     f is the tent T, or a clamp of it whose least-period-k orbits T permutes
@@ -72,7 +65,7 @@ def narrowest_tent_orbit(
     The slopes of T and of its clamps are 0 and +-2, so no iterate has an
     identity lap, and the search never refuses.
     """
-    orbit = highest_orbit_below(f, k, Fraction(1, 2), piece_budget)
+    orbit = highest_orbit_below(f, k, Fraction(1, 2))
     if orbit is None:
         raise NoSuchOrbit(f"no least-period-{k} orbit of the map")
     return orbit
@@ -112,24 +105,19 @@ class SpectrumEntry:
     continuum: bool
 
 
-def period_spectrum(
-    f: PwlMap,
-    upto: int,
-    piece_budget: int = DEFAULT_PIECE_BUDGET,
-    walk_budget: int = DEFAULT_WALK_BUDGET,
-) -> list[SpectrumEntry]:
+def period_spectrum(f: PwlMap, upto: int) -> list[SpectrumEntry]:
     """Exact least-period orbit counts for every period up to the bound.
 
     ``continuum`` flags periods whose points fill whole intervals (identity
     laps of the iterate); the count then covers the isolated orbits only.
     The map alone picks the route: tent truncations and other expanding
-    Markov maps are counted from walks under walk_budget
+    Markov maps are counted from walks under the walk cap
     (:func:`markov_orbit_counts`), others censused with each iterate
-    composed once under piece_budget (:func:`periodic_orbits_upto`).
-    Either budget's overrun raises; the other route is not tried.
+    composed once under the piece cap (:func:`periodic_orbits_upto`).
+    Either cap's overrun raises; the other route is not tried.
     """
-    censuses = periodic_orbits_upto(f, upto, piece_budget)  # checks upto, lazily
-    counts = markov_orbit_counts(f, upto, piece_budget, walk_budget)
+    censuses = periodic_orbits_upto(f, upto)  # checks upto, lazily
+    counts = markov_orbit_counts(f, upto)
     if counts is not None:
         return [SpectrumEntry(k, counts[k], False) for k in range(1, upto + 1)]
     return [
@@ -157,9 +145,7 @@ class DoublingChain:
     q1: Fraction
 
 
-def doubling_chain(
-    levels: int, piece_budget: int = DEFAULT_PIECE_BUDGET
-) -> DoublingChain:
+def doubling_chain(levels: int) -> DoublingChain:
     """Build orbits Q_{3 * 2^j} of the tent map for j = 0..levels, nesting hulls.
 
     Each level is the minimal-diameter orbit of twice the previous period
@@ -169,7 +155,7 @@ def doubling_chain(
     if levels < 0:
         raise ValueError("levels must be >= 0")
     base = tent_map()
-    orbits = [narrowest_tent_orbit(base, 3, piece_budget=piece_budget)]
+    orbits = [narrowest_tent_orbit(base, 3)]
     for _ in range(levels):
         prev = orbits[-1]
         # g is the tent T wherever T's value lies in hull(prev), else a hull end.  The
@@ -177,7 +163,7 @@ def doubling_chain(
         # g's are T's inside the hull, so narrowest_tent_orbit's lemma holds among them.
         k = prev.period
         g = truncate_at_orbit(base, prev).map
-        orbit = narrowest_tent_orbit(g, 2 * k, piece_budget=piece_budget)
+        orbit = narrowest_tent_orbit(g, 2 * k)
         if not (prev.minimum < orbit.minimum and orbit.maximum < prev.maximum):
             raise CertificationFailed(
                 f"hull of period-{orbit.period} orbit fails to nest strictly"

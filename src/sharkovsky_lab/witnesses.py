@@ -29,7 +29,6 @@ from .errors import (
     UnsupportedPeriodForCase,
 )
 from .exact_pwl import (
-    DEFAULT_PIECE_BUDGET,
     Interval,
     IntervalLoop,
     Orbit,
@@ -180,10 +179,7 @@ def period_two_from_orbit(f: PwlMap, orbit: Orbit) -> PeriodTwoWitness:
 
 
 def periodic_point_from_cycle(
-    f: PwlMap,
-    loop: IntervalLoop,
-    require_least_period: bool = False,
-    piece_budget: int = DEFAULT_PIECE_BUDGET,
+    f: PwlMap, loop: IntervalLoop, require_least_period: bool = False
 ) -> Fraction:
     """A point y with f^i(y) in J_i for each i and f^n(y) = y.
 
@@ -198,14 +194,12 @@ def periodic_point_from_cycle(
     yields only shorter periods, :class:`NoLeastPeriodWitness` is raised.
     """
     require_cycle(f, loop)
-    return _point_on_cycle(f, loop, require_least_period, piece_budget)
+    return _point_on_cycle(f, loop, require_least_period)
 
 
-def _point_on_cycle(
-    f: PwlMap, loop: IntervalLoop, require_least_period: bool, piece_budget: int
-) -> Fraction:
+def _point_on_cycle(f: PwlMap, loop: IntervalLoop, require_least_period: bool) -> Fraction:
     """periodic_point_from_cycle on a loop already known to be a cycle."""
-    y = follow_cycle(f, loop, require_least_period, piece_budget)
+    y = follow_cycle(f, loop, require_least_period)
     if y is not None:
         return y
     if require_least_period:
@@ -422,26 +416,16 @@ def forcing_cycle(trace: OddOrbitTrace, n: int) -> IntervalLoop:
     return cycle
 
 
-def odd_period_witness(
-    f: PwlMap,
-    orbit: Orbit,
-    n: int,
-    piece_budget: int = DEFAULT_PIECE_BUDGET,
-) -> Fraction:
+def odd_period_witness(f: PwlMap, orbit: Orbit, n: int) -> Fraction:
     """A certified point of least period exactly n forced by an odd orbit.
 
     Valid n: every even n >= 2, every n >= period + 1, and any n >= 1
     when the analysis reaches a period-3 orbit (which forces everything).
     """
-    return witness_from_trace(f, analyze_odd_orbit(f, orbit), n, piece_budget)
+    return witness_from_trace(f, analyze_odd_orbit(f, orbit), n)
 
 
-def witness_from_trace(
-    f: PwlMap,
-    trace: OddOrbitTrace,
-    n: int,
-    piece_budget: int = DEFAULT_PIECE_BUDGET,
-) -> Fraction:
+def witness_from_trace(f: PwlMap, trace: OddOrbitTrace, n: int) -> Fraction:
     """odd_period_witness for an orbit of f already analysed into ``trace``.
 
     The trace must come from :func:`analyze_odd_orbit` on f.  The point is
@@ -451,12 +435,10 @@ def witness_from_trace(
     if trace.map != (_reflect_map(f) if trace.mirrored else f):
         raise PreconditionViolated("the trace was not analysed on this map")
     if trace.case.yields_period_three:
-        seed = _point_on_cycle(trace.map, forcing_cycle(trace, 3), True, piece_budget)
-        y = odd_period_witness(
-            trace.map, orbit_of(trace.map, seed), n, piece_budget
-        )
+        seed = _point_on_cycle(trace.map, forcing_cycle(trace, 3), True)
+        y = odd_period_witness(trace.map, orbit_of(trace.map, seed), n)
     else:
-        y = _point_on_cycle(trace.map, forcing_cycle(trace, n), True, piece_budget)
+        y = _point_on_cycle(trace.map, forcing_cycle(trace, n), True)
     if trace.mirrored:
         dom = f.domain
         y = dom.lo + dom.hi - y

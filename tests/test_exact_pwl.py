@@ -1,8 +1,10 @@
 """Exact map representation, enumeration, and preimage machinery."""
 
 import ast
+import asyncio
 import itertools
 import random
+import threading
 import time
 from bisect import bisect_right
 from fractions import Fraction as F
@@ -33,6 +35,7 @@ from sharkovsky_lab import (
     SpectrumEntry,
     WalkBudgetExceeded,
     all_patterns,
+    budgets,
     connect_the_dots,
     divisors,
     fixed_points_of_iterate,
@@ -269,9 +272,18 @@ def result_or_error(fn, *args):
         return type(exc), str(exc)
 
 
+def capped(fn, piece=exact_pwl.DEFAULT_PIECE_BUDGET, walk=exact_pwl.DEFAULT_WALK_BUDGET):
+    """fn, called inside a budgets(piece, walk) block."""
+    def run(*args):
+        with budgets(piece, walk):
+            return fn(*args)
+    return run
+
+
 def reference_iterate(f, n, piece_budget=exact_pwl.DEFAULT_PIECE_BUDGET):
     """f^n by the sequential chain f, f^2, ..., f^n, as iterate composed it before."""
-    *_, last = exact_pwl._iterates(f._pairs, f._pairs, n, piece_budget)
+    with budgets(piece_budget):
+        *_, last = exact_pwl._iterates(f._pairs, f._pairs, n)
     return PwlMap._of(last)
 
 
@@ -449,8 +461,8 @@ class TestIterate:
             assert f6_nested(x) == f6(x)
 
     def test_piece_budget(self):
-        with pytest.raises(PieceBudgetExceeded):
-            TENT.iterate(8, piece_budget=10)
+        with budgets(piece=10), pytest.raises(PieceBudgetExceeded):
+            TENT.iterate(8)
 
     @pytest.mark.parametrize("k", [1, 2, 5, 14])
     def test_canonical_pass_runs_once_per_composition(self, monkeypatch, k):
@@ -478,14 +490,16 @@ class TestIterate:
         # six cuts, where no iterate up to f^4 has more than four breakpoints
         f = PwlMap([(0, 1), (F(1, 2), 0), (1, 0)])
         expected = reference_iterate(f, 4)
-        square = exact_pwl._compose(*[f.iterate(2)._pairs] * 2, 4)
+        with budgets(piece=4):
+            square = exact_pwl._compose(*[f.iterate(2)._pairs] * 2)
         assert PwlMap._of(square) == expected
 
         def refuse(*args):
             raise AssertionError("iterate squares and runs no chain")
 
         monkeypatch.setattr(exact_pwl, "_iterates", refuse)
-        assert f.iterate(4, piece_budget=4) == expected
+        with budgets(piece=4):
+            assert f.iterate(4) == expected
 
     def test_squaring_matches_the_chain_on_the_tent_family(self):
         for f in (TENT, THREE_CYCLE, _truncation(3), _truncation(6), NEG):
@@ -885,7 +899,7 @@ class TestIntegerKernel:
         f = data.draw(general_maps())
         g = data.draw(general_maps(domain=(f.domain.lo, f.domain.hi)))
         budget = data.draw(st.integers(min_value=2, max_value=40))
-        got = result_or_error(exact_pwl._compose, f._pairs, g._pairs, budget)
+        got = result_or_error(capped(exact_pwl._compose, budget), f._pairs, g._pairs)
         if not isinstance(got, tuple) or got[0] is not PieceBudgetExceeded:
             got = fractions_of(got)
         assert got == result_or_error(ref_compose, f.breakpoints, g.breakpoints, budget)
@@ -895,43 +909,47 @@ class TestIntegerKernel:
         # 1/2 * 2 and 3/2 * 2/3 agree there: f o g is the identity
         f = PwlMap([(0, 0), (F(1, 4), F(1, 2)), (1, 1)])
         g = PwlMap([(0, 0), (F(1, 2), F(1, 4)), (1, 1)])
-        assert exact_pwl._compose(f._pairs, g._pairs, 2) == IDENTITY._pairs
+        with budgets(piece=2):
+            assert exact_pwl._compose(f._pairs, g._pairs) == IDENTITY._pairs
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_compose_raises_exactly_past_the_budget(self, data):
         f = data.draw(general_maps())
         g = data.draw(general_maps(domain=(f.domain.lo, f.domain.hi)))
-        full = exact_pwl._compose(f._pairs, g._pairs, 2**20)
+        with budgets(piece=2**20):
+            full = exact_pwl._compose(f._pairs, g._pairs)
         # half the budgets sit within two of the result, where the cuts'
         # count and the result's part
         near = st.integers(-2, 2).map(lambda d: min(40, max(2, len(full) + d)))
         budget = data.draw(st.integers(2, 40) | near)
-        if len(full) > budget:
-            with pytest.raises(PieceBudgetExceeded):
-                exact_pwl._compose(f._pairs, g._pairs, budget)
-        else:
-            assert exact_pwl._compose(f._pairs, g._pairs, budget) == full
+        with budgets(piece=budget):
+            if len(full) > budget:
+                with pytest.raises(PieceBudgetExceeded):
+                    exact_pwl._compose(f._pairs, g._pairs)
+            else:
+                assert exact_pwl._compose(f._pairs, g._pairs) == full
 
     @settings(max_examples=150, deadline=None)
     @given(general_maps(), st.integers(min_value=1, max_value=4), st.integers(2, 200))
     def test_iterates_match_the_reference_up_to_the_same_budget(self, f, n, budget):
-        def chain(iterates, pairs, convert):
+        def chain(iterates, pairs, convert, *budget):
             out = []
             try:
-                for g in iterates(pairs, pairs, n, budget):
+                for g in iterates(pairs, pairs, n, *budget):
                     out.append(convert(g))
             except PieceBudgetExceeded as exc:
                 out.append(str(exc))
             return out
 
-        got = chain(exact_pwl._iterates, f._pairs, fractions_of)
-        assert got == chain(ref_iterates, f.breakpoints, tuple)
+        with budgets(piece=budget):
+            got = chain(exact_pwl._iterates, f._pairs, fractions_of)
+        assert got == chain(ref_iterates, f.breakpoints, tuple, budget)
 
     @settings(max_examples=200, deadline=None)
     @given(general_maps(), st.integers(min_value=1, max_value=9), st.integers(2, 300))
     def test_squaring_matches_the_sequential_chain(self, f, n, budget):
-        squared = result_or_error(f.iterate, n, budget)
+        squared = result_or_error(capped(f.iterate, budget), n)
         chained = result_or_error(reference_iterate, f, n, budget)
         if isinstance(squared, PwlMap):
             assert chained == squared or chained[0] is PieceBudgetExceeded
@@ -957,7 +975,7 @@ class TestIntegerKernel:
             f._pairs, (a.numerator, a.denominator), (b.numerator, b.denominator)
         )
         dom = f.domain
-        for g in exact_pwl._iterates(f._pairs, first, n, exact_pwl.DEFAULT_PIECE_BUDGET):
+        for g in exact_pwl._iterates(f._pairs, first, n):
             assert all(dom.contains(F(yn, yd)) for _, _, yn, yd in g)
 
     @settings(max_examples=150, deadline=None)
@@ -1232,7 +1250,8 @@ class TestContinuumExtraction:
     def test_a_piece_budget_below_the_lap_does_not_bind(self):
         # f^6 is the identity, two breakpoints; f itself has three, so a
         # chain of iterates composed on the lap would pass this budget
-        census = periodic_orbits(INVOLUTION, 6, piece_budget=2)
+        with budgets(piece=2):
+            census = periodic_orbits(INVOLUTION, 6)
         assert census == PeriodicOrbits((), ())
 
 
@@ -1454,11 +1473,12 @@ class TestCensus:
                     realized_periods(CyclicPattern((2, 3, 1)), upto, method)
 
     def test_budget_overrun_ends_the_generator(self):
-        censuses = periodic_orbits_upto(TENT, 9, piece_budget=40)
-        assert len(list(itertools.islice(censuses, 5))) == 5  # tent^5 has 33
-        with pytest.raises(PieceBudgetExceeded):
-            next(censuses)
-        assert next(censuses, None) is None
+        censuses = periodic_orbits_upto(TENT, 9)
+        with budgets(piece=40):
+            assert len(list(itertools.islice(censuses, 5))) == 5  # tent^5 has 33
+            with pytest.raises(PieceBudgetExceeded):
+                next(censuses)
+            assert next(censuses, None) is None
 
     def test_auto_composes_nothing_and_walks_nothing(self, monkeypatch):
         pattern = CyclicPattern.from_cycle_string("1>3>4>2>5")
@@ -1470,7 +1490,8 @@ class TestCensus:
         monkeypatch.setattr(exact_pwl, "_compose", refuse)
         monkeypatch.setattr(pattern_dynamics, "periodic_orbits_upto", refuse)
         monkeypatch.setattr(pattern_dynamics, "iter_closed_walks", refuse)
-        assert realized_periods(pattern, 8, "auto", piece_budget=1) == direct
+        with budgets(piece=1):
+            assert realized_periods(pattern, 8, "auto") == direct
 
     def test_identity_laps_compose_only_the_census_chain(self, monkeypatch):
         calls = []
@@ -1496,9 +1517,9 @@ class TestCensus:
         assert realized_periods(CyclicPattern((2, 3, 1)), 5, "walks") == {1, 2, 3, 4, 5}
 
 
-def reference_censuses(f, upto, piece_budget=exact_pwl.DEFAULT_PIECE_BUDGET):
+def reference_censuses(f, upto):
     """periodic_orbits_upto with each iterate composed as f o f^(k-1), f outside."""
-    chain = exact_pwl._iterates(f._pairs, f._pairs, upto, piece_budget)
+    chain = exact_pwl._iterates(f._pairs, f._pairs, upto)
     for k, g in enumerate(chain, start=1):
         yield exact_pwl._census(f, k, exact_pwl._fixed_structure(g))
 
@@ -1527,14 +1548,16 @@ class TestCensusOrder:
     @given(st.integers(2, 6), st.integers(0, 10**6), st.integers(4, 64))
     def test_overruns_come_at_the_same_k(self, m, seed, budget):
         f = connect_the_dots(random_pattern(m, random.Random(seed)))
-        got = censuses_until_overrun(periodic_orbits_upto(f, 8, budget))
-        assert got == censuses_until_overrun(reference_censuses(f, 8, budget))
+        with budgets(piece=budget):
+            got = censuses_until_overrun(periodic_orbits_upto(f, 8))
+            assert got == censuses_until_overrun(reference_censuses(f, 8))
 
     def test_overruns_are_exercised(self):
         f = connect_the_dots(CyclicPattern.from_cycle_string("1>3>4>2>5>7>6"))
-        got = censuses_until_overrun(periodic_orbits_upto(f, 8, 64))
-        assert got[-1] == "composition needs more than 64 breakpoints"
-        assert got == censuses_until_overrun(reference_censuses(f, 8, 64))
+        with budgets(piece=64):
+            got = censuses_until_overrun(periodic_orbits_upto(f, 8))
+            assert got[-1] == "composition needs more than 64 breakpoints"
+            assert got == censuses_until_overrun(reference_censuses(f, 8))
 
 
 def census_spectrum(f, upto):
@@ -1611,8 +1634,8 @@ class TestMarkovSpectrum:
 
     def test_the_partition_is_budgeted(self):
         f = PwlMap([(0, 0), (F(2, 3), 1), (1, F(1, 2))])
-        with pytest.raises(PieceBudgetExceeded):
-            exact_pwl.markov_partition(f, piece_budget=50)
+        with budgets(piece=50), pytest.raises(PieceBudgetExceeded):
+            exact_pwl.markov_partition(f)
         # the truncation's plateau [3/7, 4/7] at 6/7 is node 4, a zero row
         graph = exact_pwl.markov_partition(_truncation(3))
         assert graph.node_count == 6 and graph.successors(4) == []
@@ -1629,10 +1652,11 @@ class TestMarkovSpectrum:
             yield
 
         monkeypatch.setattr(tent_constructions, "periodic_orbits_upto", refuse)
-        with pytest.raises(WalkBudgetExceeded):
-            exact_pwl.markov_orbit_counts(f, 9, walk_budget=60)
-        with pytest.raises(WalkBudgetExceeded):
-            period_spectrum(f, 9, walk_budget=60)
+        with budgets(walk=60):
+            with pytest.raises(WalkBudgetExceeded):
+                exact_pwl.markov_orbit_counts(f, 9)
+            with pytest.raises(WalkBudgetExceeded):
+                period_spectrum(f, 9)
         assert exact_pwl.markov_orbit_counts(f, 9) is not None  # the default budget
 
 
@@ -1693,7 +1717,7 @@ class TestPackedWalkCounts:
         st.integers(10, 10**8) | st.sampled_from([10, 10**3, 10**5, 10**8]),
     )
     def test_matches_the_reference(self, graph, upto, budget):
-        got = result_or_error(exact_pwl.primitive_walk_counts, graph, upto, budget)
+        got = result_or_error(capped(exact_pwl.primitive_walk_counts, walk=budget), graph, upto)
         assert got == result_or_error(reference_primitive_walk_counts, graph, upto, budget)
 
     @pytest.mark.parametrize(
@@ -1716,16 +1740,16 @@ class TestPackedWalkCounts:
         while lo < hi:
             mid = (lo + hi) // 2
             try:
-                exact_pwl.primitive_walk_counts(graph, upto, mid)
+                capped(exact_pwl.primitive_walk_counts, walk=mid)(graph, upto)
                 hi = mid
             except WalkBudgetExceeded:
                 lo = mid + 1
-        assert exact_pwl.primitive_walk_counts(graph, upto, lo) == counts
+        assert capped(exact_pwl.primitive_walk_counts, walk=lo)(graph, upto) == counts
         assert reference_primitive_walk_counts(graph, upto, lo) == counts
         with pytest.raises(WalkBudgetExceeded) as exc:
             reference_primitive_walk_counts(graph, upto, lo - 1)
         with pytest.raises(WalkBudgetExceeded, match=f"^{exc.value}$"):
-            exact_pwl.primitive_walk_counts(graph, upto, lo - 1)
+            capped(exact_pwl.primitive_walk_counts, walk=lo - 1)(graph, upto)
 
     def test_a_vanishing_list_past_the_budget_is_refused_at_once(self):
         # A = 0 from length 1 on: nothing is counted, but 10^12 zeros would
@@ -1743,8 +1767,8 @@ class TestPackedWalkCounts:
     def test_a_huge_bound_is_refused_by_the_budget_at_once(self):
         graph = pattern_dynamics.markov_graph(CyclicPattern.from_cycle_string("1>3>2"))
         start = time.perf_counter()
-        with pytest.raises(WalkBudgetExceeded, match="walk-count additions"):
-            exact_pwl.primitive_walk_counts(graph, 10**12, walk_budget=1000)
+        with budgets(walk=1000), pytest.raises(WalkBudgetExceeded, match="walk-count additions"):
+            exact_pwl.primitive_walk_counts(graph, 10**12)
         assert time.perf_counter() - start < 1
 
 
@@ -1877,22 +1901,6 @@ class TestWholeDomainSearch:
         assert is_orbit_of(SWAP_AT_THE_EDGES, clamped[0])
         assert periodic_orbits(SWAP_AT_THE_EDGES, 2).continuum
 
-    def test_only_the_chosen_orbit_becomes_fractions(self, monkeypatch):
-        built = []
-        original = exact_pwl._fraction
-
-        def counted(q):
-            built.append(q[:2])  # a breakpoint stands for its x
-            return original(q)
-
-        monkeypatch.setattr(exact_pwl, "_fraction", counted)
-        orbit = minimal_diameter_orbit(TENT, 10)
-        points = orbit.points
-        monkeypatch.undo()
-        chosen = {(p.numerator, p.denominator) for p in points}
-        assert len(points) == 10
-        assert set(built) <= chosen | {(0, 1), (1, 1)}  # and the domain's ends
-
     def test_kernel_built_and_fraction_built_orbits_agree(self):
         kernel_built = periodic_orbits(TENT, 5)
         fraction_built = reference_census(TENT, 5)  # Orbit(...) on Fractions
@@ -1957,3 +1965,78 @@ class TestHighestOrbitBelow:
         monkeypatch.setattr(PwlMap, "iterate", refuse)
         with pytest.raises(ValueError, match="iterate order must be >= 1"):
             highest_orbit_below(TENT, k, F(1, 2))
+
+
+class TestBudgets:
+    """A budgets block sets both caps for the work it runs, and for nothing else."""
+
+    def test_threads_keep_their_own_caps(self):
+        both = threading.Barrier(2, timeout=60)
+        results = {}
+
+        def compose(piece):
+            with budgets(piece=piece):
+                both.wait()  # both blocks are open before either composes
+                results[piece] = result_or_error(TENT.iterate, 8)
+                both.wait()  # and neither closes before both have composed
+
+        threads = [threading.Thread(target=compose, args=(piece,)) for piece in (10, 1000)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results[10] == (PieceBudgetExceeded, "composition needs more than 10 breakpoints")
+        assert results[1000] == reference_iterate(TENT, 8)  # 257 breakpoints
+
+    def test_asyncio_tasks_keep_their_own_caps(self):
+        async def compose(piece):
+            with budgets(piece=piece):
+                await asyncio.sleep(0)  # the other task opens its block here
+                return result_or_error(TENT.iterate, 8)
+
+        async def both():
+            return await asyncio.gather(compose(10), compose(1000))
+
+        small, large = asyncio.run(both())
+        assert small == (PieceBudgetExceeded, "composition needs more than 10 breakpoints")
+        assert large == reference_iterate(TENT, 8)
+
+    def test_the_caps_are_restored_after_a_block_that_raised(self):
+        with budgets(piece=10):
+            with pytest.raises(WalkBudgetExceeded):
+                with budgets(piece=5, walk=1):
+                    list(exact_pwl.iter_closed_walks(complete_graph(2), 4))
+            with pytest.raises(PieceBudgetExceeded, match="^composition needs more than 10 "):
+                TENT.iterate(8)
+        with pytest.raises(PieceBudgetExceeded):
+            with budgets(piece=10):
+                TENT.iterate(8)
+        defaults = exact_pwl.DEFAULT_PIECE_BUDGET, exact_pwl.DEFAULT_WALK_BUDGET
+        assert exact_pwl._caps.get() == defaults
+        assert TENT.iterate(8) == reference_iterate(TENT, 8)
+
+    def test_a_cap_left_out_takes_its_default(self):
+        with budgets(piece=10), budgets(walk=1):
+            assert TENT.iterate(8) == reference_iterate(TENT, 8)
+
+    def test_a_generator_runs_under_the_caps_where_it_is_advanced(self):
+        with budgets(piece=40):
+            censuses = periodic_orbits_upto(TENT, 9)
+        assert [len(c) for c in censuses] == [len(periodic_orbits(TENT, k)) for k in range(1, 10)]
+        censuses = periodic_orbits_upto(TENT, 9)
+        with budgets(piece=40):
+            assert len(list(itertools.islice(censuses, 5))) == 5  # tent^5 has 33
+            with pytest.raises(PieceBudgetExceeded, match="^composition needs more than 40 "):
+                next(censuses)
+
+    def test_closed_walks_raise_at_walk_cap_plus_one(self):
+        graph = complete_graph(2)
+        every = list(exact_pwl.iter_closed_walks(graph, 4))  # the 6 binary necklaces
+        with budgets(walk=len(every)):
+            assert list(exact_pwl.iter_closed_walks(graph, 4)) == every
+        walks = exact_pwl.iter_closed_walks(graph, 4)
+        with budgets(walk=5):
+            assert list(itertools.islice(walks, 5)) == every[:5]
+            with pytest.raises(WalkBudgetExceeded, match="^more than 5 closed walks of length 4$"):
+                next(walks)

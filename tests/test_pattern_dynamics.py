@@ -20,6 +20,7 @@ from sharkovsky_lab import (
     PwlMap,
     WalkBudgetExceeded,
     all_patterns,
+    budgets,
     closed_walks,
     connect_the_dots,
     divisors,
@@ -209,8 +210,8 @@ class TestClosedWalks:
 
     def test_walk_budget(self):
         graph = markov_graph(THREE_CYCLE)
-        with pytest.raises(WalkBudgetExceeded):
-            closed_walks(graph, 3, walk_budget=1)
+        with budgets(walk=1), pytest.raises(WalkBudgetExceeded):
+            closed_walks(graph, 3)
 
     def test_successor_table_is_built_once_per_graph(self):
         class CountedEdges(frozenset):
@@ -320,7 +321,7 @@ class TestRealizedPeriods:
         monkeypatch.setattr(
             pattern_dynamics,
             "primitive_walk_counts",
-            lambda graph, upto, walk_budget: [0] * (upto + 1),
+            lambda graph, upto: [0] * (upto + 1),
         )
         assert realized_periods(THREE_CYCLE, 4, method="auto") == {3}
         with pytest.raises(CertificationFailed) as info:
@@ -351,12 +352,13 @@ class TestRealizedPeriods:
         pattern = random_pattern(m, rng)
         matrix = realized_periods(pattern, 8, method="auto")
         assert matrix == realized_periods(pattern, 8, method="walks")
-        censuses = periodic_orbits_upto(connect_the_dots(pattern), 8, piece_budget=1 << 16)
+        censuses = periodic_orbits_upto(connect_the_dots(pattern), 8)
         checked = 0
         try:
-            for k, census in enumerate(censuses, start=1):
-                assert (k in matrix) == bool(census.orbits or census.continuum), k
-                checked = k
+            with budgets(piece=1 << 16):
+                for k, census in enumerate(censuses, start=1):
+                    assert (k in matrix) == bool(census.orbits or census.continuum), k
+                    checked = k
         except PieceBudgetExceeded:
             pass
         assert checked >= 4  # f^4 of an 8-point pattern has at most 7^4 laps

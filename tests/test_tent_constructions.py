@@ -47,7 +47,7 @@ class TestMinimalDiameterOrbit:
         assert list(minimal_diameter_orbit(TENT, 2)) == [F(2, 5), F(4, 5)]
 
     def test_a_stale_window_is_refused_at_the_call(self):
-        # the search is over the whole domain, and its budget is keyword-only
+        # the search is over the whole domain, and it takes no third argument
         with pytest.raises(TypeError, match="2 positional arguments but 3 were given"):
             minimal_diameter_orbit(TENT, 6, Interval(F(2, 7), F(6, 7)))
 

@@ -569,7 +569,7 @@ def assert_chains_solve_as_their_composition(f, loop):
             assert structure is None
             continue
         start = exact_pwl._restrict(pairs, *chain[0])
-        *_, composed = exact_pwl._iterates(pairs, start, n, exact_pwl.DEFAULT_PIECE_BUDGET)
+        *_, composed = exact_pwl._iterates(pairs, start, n)
         assert structure == exact_pwl._fixed_structure(composed)
         counts[bool(structure[1])] += 1
     aligned = exact_pwl._lap_aligned_structure(pairs, spans)
@@ -628,7 +628,7 @@ def reference_lap_aligned_solution(f, spans):
     return v // g, (w - u) // g
 
 
-def reference_cycle_candidates(f, spans, least, piece_budget):
+def reference_cycle_candidates(f, spans, least):
     y = reference_lap_aligned_solution(f, spans)
     if y is not None:
         yield y
@@ -637,7 +637,7 @@ def reference_cycle_candidates(f, spans, least, piece_budget):
     for chain in exact_pwl._chains(f, spans):
         y = reference_lap_aligned_solution(f, chain)
         if y is None:
-            points, laps = exact_pwl._solve_on(f, *chain[0], n, piece_budget)
+            points, laps = exact_pwl._solve_on(f, *chain[0], n)
         else:
             points, laps = [y], []
         yield from points
@@ -650,9 +650,8 @@ def reference_cycle_candidates(f, spans, least, piece_budget):
 
 def assert_candidates_match_the_reference(f, loop, least):
     pairs, spans = f._pairs, [J._span for J in loop]
-    budget = exact_pwl.DEFAULT_PIECE_BUDGET
-    candidates = list(exact_pwl._cycle_candidates(pairs, spans, least, budget))
-    assert candidates == list(reference_cycle_candidates(pairs, spans, least, budget))
+    candidates = list(exact_pwl._cycle_candidates(pairs, spans, least))
+    assert candidates == list(reference_cycle_candidates(pairs, spans, least))
     return candidates
 
 
