@@ -8,27 +8,20 @@ each tail of the forcing order.
 """
 
 from .errors import (
-    BadClampBounds,
     BudgetError,
     CertificationFailed,
-    EvenPeriod,
+    InvalidMap,
     InvalidPattern,
     NoLeastPeriodWitness,
-    NonMonotoneBreakpoints,
     NoSuchOrbit,
-    NotACycle,
     NotAnOrbit,
     NotAWalk,
     NotCovering,
-    NotOddPeriod,
-    NotSelfMap,
     OutOfDomain,
-    PeriodTooSmall,
     PieceBudgetExceeded,
     PreconditionError,
-    PreconditionViolated,
     SharkovskyLabError,
-    UnsupportedPeriodForCase,
+    UnsupportedPeriod,
     WalkBudgetExceeded,
 )
 from .exact_pwl import (
@@ -57,7 +50,6 @@ from .exact_pwl import (
 from .pattern_dynamics import (
     CyclicPattern,
     all_patterns,
-    closed_walks,
     connect_the_dots,
     is_stefan_pattern,
     loop_to_intervals,

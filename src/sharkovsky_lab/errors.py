@@ -25,24 +25,16 @@ class CertificationFailed(SharkovskyLabError):
 
 # -- map construction and evaluation ----------------------------------------
 
-class NonMonotoneBreakpoints(PreconditionError):
-    """Breakpoint x-values are not strictly increasing (or too few)."""
-
-
-class NotSelfMap(PreconditionError):
-    """Some breakpoint value falls outside the map's own domain."""
+class InvalidMap(PreconditionError):
+    """Breakpoint x-values do not increase (or are too few), or a value leaves the domain."""
 
 
 class OutOfDomain(PreconditionError):
-    """A point or interval lies outside the map's domain."""
-
-
-class BadClampBounds(PreconditionError):
-    """Clamp bounds are not nested inside the domain, or out of order."""
+    """A point, interval or pair of clamp bounds lies outside the map's domain."""
 
 
 class NotCovering(PreconditionError):
-    """The image of the source interval does not contain the target."""
+    """The image of an interval, alone or in a cycle, does not contain the next."""
 
 
 class PieceBudgetExceeded(BudgetError):
@@ -59,10 +51,6 @@ class NotAWalk(PreconditionError):
     """The node sequence is not a closed walk of the covering graph."""
 
 
-class NotOddPeriod(PreconditionError):
-    """The pattern's period is even (or below 3) where odd is required."""
-
-
 class WalkBudgetExceeded(BudgetError):
     """Closed-walk enumeration or counting outran the walk budget."""
 
@@ -73,32 +61,12 @@ class NotAnOrbit(PreconditionError):
     """The point set is not a single periodic orbit of the given map."""
 
 
-class PeriodTooSmall(PreconditionError):
-    """The orbit's period is too small for the requested construction."""
-
-
-class EvenPeriod(PreconditionError):
-    """The orbit's period is even where an odd period is required."""
-
-
-class PreconditionViolated(PreconditionError):
-    """A witness's input is not what it requires.
-
-    The crossed pair c, d lies outside the domain or fails
-    f(d) <= c < d <= f(c), or a trace was analysed on another map.
-    """
-
-
-class NotACycle(PreconditionError):
-    """Some interval in the chain fails to cover its successor."""
+class UnsupportedPeriod(PreconditionError):
+    """The period is even or too small for the construction, or not one it yields."""
 
 
 class NoLeastPeriodWitness(SharkovskyLabError):
     """Every branch of the chain yields only points of smaller period."""
-
-
-class UnsupportedPeriodForCase(PreconditionError):
-    """The requested period is not produced by this trace's construction."""
 
 
 class NoSuchOrbit(PreconditionError):

@@ -28,12 +28,9 @@ from math import gcd
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .errors import (
-    BadClampBounds,
-    NonMonotoneBreakpoints,
-    NotACycle,
+    InvalidMap,
     NotAnOrbit,
     NotCovering,
-    NotSelfMap,
     OutOfDomain,
     PieceBudgetExceeded,
     PreconditionError,
@@ -77,6 +74,12 @@ def require_listable(count: int, items: str) -> None:
     walk = _caps.get()[1]
     if count > walk:
         raise WalkBudgetExceeded(f"more than {walk} {items} to list")
+
+
+def _require_order(k: int) -> None:
+    """ValueError unless k >= 1, the order of an iterate f^k."""
+    if k < 1:
+        raise ValueError("iterate order must be >= 1")
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -373,11 +376,9 @@ def _canonical(points: Iterable[Breakpoint]) -> Pairs:
             dx = xn * qd - qn * xd
             if dx <= 0:
                 if dx < 0:
-                    raise NonMonotoneBreakpoints("breakpoint x-values must increase")
+                    raise InvalidMap("breakpoint x-values must increase")
                 if yn != rn or yd != rd:
-                    raise NonMonotoneBreakpoints(
-                        f"two breakpoints share x = {Fraction(xn, xd)}"
-                    )
+                    raise InvalidMap(f"two breakpoints share x = {Fraction(xn, xd)}")
                 continue
             tn = (yn * rd - rn * yd) * xd * qd
             td = dx * yd * rd
@@ -387,16 +388,16 @@ def _canonical(points: Iterable[Breakpoint]) -> Pairs:
             sn, sd = tn, td
         out.append(p)
     if len(out) < 2:
-        raise NonMonotoneBreakpoints("at least two distinct breakpoints required")
+        raise InvalidMap("at least two distinct breakpoints required")
     return tuple(out)
 
 
 def _check_values(pairs: Pairs, f: Pairs) -> None:
-    """NotSelfMap unless every value of pairs lies in f's domain."""
+    """InvalidMap unless every value of pairs lies in f's domain."""
     (lon, lod), (hin, hid) = f[0][:2], f[-1][:2]
     for _, _, yn, yd in pairs:
         if yn * lod < lon * yd or hin * yd < yn * hid:
-            raise NotSelfMap(f"value {Fraction(yn, yd)} escapes domain {_span(f)}")
+            raise InvalidMap(f"value {Fraction(yn, yd)} escapes domain {_span(f)}")
 
 
 def _compose(outer: Pairs, inner: Pairs) -> Pairs:
@@ -730,8 +731,7 @@ class PwlMap:
         iterate f^j with j <= n, which the chain builds too: so
         :class:`PieceBudgetExceeded` comes only where the chain raises.
         """
-        if n < 1:
-            raise ValueError("iteration count must be >= 1")
+        _require_order(n)
         power, result = self._pairs, None
         for i, bit in enumerate(bin(n)[:1:-1]):  # the low bit first
             if i:
@@ -773,7 +773,7 @@ class PwlMap:
         lo, hi = as_fraction(lo), as_fraction(hi)
         dom = self.domain
         if not (dom.lo <= lo <= hi <= dom.hi):
-            raise BadClampBounds(f"bounds [{lo}, {hi}] not nested in {dom}")
+            raise OutOfDomain(f"bounds [{lo}, {hi}] not nested in {dom}")
         lo, hi = _q(lo), _q(hi)
         cuts = [self._pairs[0]]
         for p0, p1 in _laps(self._pairs):
@@ -853,8 +853,6 @@ class PeriodicOrbits:
 
 def fixed_points_of_iterate(f: PwlMap, k: int) -> FixedPoints:
     """All exact solutions of f^k(x) = x, ascending and deduplicated."""
-    if k < 1:
-        raise ValueError("iterate order must be >= 1")
     return _fixed_points(_fixed_structure(f.iterate(k)._pairs))
 
 
@@ -875,8 +873,7 @@ def _orbit_walk(f: Pairs, y: Q, k: int) -> list[Q]:
 
 def least_period(f: PwlMap, y: RationalLike, k: int) -> int:
     """The least period of y given that f^k(y) = y (it divides k)."""
-    if k < 1:
-        raise ValueError("iterate order must be >= 1")
+    _require_order(k)
     return len(_orbit_walk(f._pairs, _q(as_fraction(y)), k))
 
 
@@ -974,8 +971,6 @@ def periodic_orbits(f: PwlMap, k: int) -> PeriodicOrbits:
     continuum components rather than enumerated.  Equal to the last item
     of :func:`periodic_orbits_upto` with the same k.
     """
-    if k < 1:
-        raise ValueError("iterate order must be >= 1")
     return _census(f, k, _fixed_structure(f.iterate(k)._pairs))
 
 
@@ -1045,8 +1040,7 @@ def highest_orbit_below(f: PwlMap, k: int, c: RationalLike) -> Optional[Orbit]:
     Raises PreconditionError when f^k has an identity lap left of c,
     whose points form a continuum.
     """
-    if k < 1:
-        raise ValueError("iterate order must be >= 1")
+    _require_order(k)
     c = as_fraction(c)
     cq = _q(c)
     g = f.iterate(k)._pairs
@@ -1297,13 +1291,13 @@ def markov_orbit_counts(f: PwlMap, upto: int) -> Optional[list[int]]:
 
 
 def require_cycle(f: PwlMap, loop: IntervalLoop) -> None:
-    """Raise NotACycle at the first i where f(J_i) does not cover J_(i+1 mod n)."""
+    """Raise NotCovering at the first i where f(J_i) does not cover J_(i+1 mod n)."""
     checked = set()  # a loop often repeats a step; each is checked once
     for i, J in enumerate(loop):
         K = loop[(i + 1) % len(loop)]
         if (J._span, K._span) not in checked:
             if not f.covers(J, K):
-                raise NotACycle(f"f({J}) does not cover {K} at position {i}")
+                raise NotCovering(f"f({J}) does not cover {K} at position {i}")
             checked.add((J._span, K._span))
 
 

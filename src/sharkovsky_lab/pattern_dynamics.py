@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import CertificationFailed, InvalidPattern, NotAWalk, NotOddPeriod
+from .errors import CertificationFailed, InvalidPattern, NotAWalk, UnsupportedPeriod
 from .exact_pwl import (
     Interval,
     IntervalLoop,
@@ -130,11 +130,6 @@ def markov_graph(pattern: CyclicPattern) -> MarkovGraph:
     return MarkovGraph.from_images([r - 1 for r in pattern.mapping])
 
 
-def closed_walks(graph: MarkovGraph, n: int) -> list[tuple[int, ...]]:
-    """All closed walks of length n up to rotation, deterministic order."""
-    return list(iter_closed_walks(graph, n))
-
-
 def _node_intervals(pattern: CyclicPattern) -> tuple[Interval, ...]:
     """The realization's m - 1 consecutive-point intervals, node i at index i - 1."""
     xs = connect_the_dots_points(pattern.size)
@@ -237,7 +232,7 @@ def stefan_pattern(m: int) -> CyclicPattern:
     c at strictly increasing distance: c, c+1, c-1, c+2, c-2, ...
     """
     if m < 3 or m % 2 == 0:
-        raise NotOddPeriod(f"need an odd period >= 3, got {m}")
+        raise UnsupportedPeriod(f"need an odd period >= 3, got {m}")
     c = (m + 1) // 2
     order = [c]
     for step in range(1, c):
@@ -248,8 +243,5 @@ def stefan_pattern(m: int) -> CyclicPattern:
 
 def is_stefan_pattern(pattern: CyclicPattern) -> bool:
     """True for the two mirror spirals of the pattern's (odd) period."""
-    m = pattern.size
-    if m < 3 or m % 2 == 0:
-        raise NotOddPeriod(f"need an odd period >= 3, got {m}")
-    spiral = stefan_pattern(m)
+    spiral = stefan_pattern(pattern.size)
     return pattern in (spiral, spiral.mirror())

@@ -21,12 +21,10 @@ from typing import Optional
 
 from .errors import (
     CertificationFailed,
-    EvenPeriod,
     NoLeastPeriodWitness,
     NotAnOrbit,
-    PeriodTooSmall,
-    PreconditionViolated,
-    UnsupportedPeriodForCase,
+    PreconditionError,
+    UnsupportedPeriod,
 )
 from .exact_pwl import (
     Interval,
@@ -113,9 +111,9 @@ def period_two_from_crossing(
     c, d = as_fraction(c), as_fraction(d)
     dom = f.domain
     if not (dom.contains(c) and dom.contains(d)):
-        raise PreconditionViolated(f"{c}, {d} must lie in {dom}")
+        raise PreconditionError(f"{c}, {d} must lie in {dom}")
     if not (f(d) <= c < d <= f(c)):
-        raise PreconditionViolated(
+        raise PreconditionError(
             f"need f(d) <= c < d <= f(c); got f({d}) = {f(d)}, f({c}) = {f(c)}"
         )
     a = dom.lo
@@ -166,7 +164,7 @@ def period_two_from_orbit(f: PwlMap, orbit: Orbit) -> PeriodTwoWitness:
     """
     sigma = _require_orbit(f, orbit)
     if orbit.period <= 2:
-        raise PeriodTooSmall(f"need period > 2, got {orbit.period}")
+        raise UnsupportedPeriod(f"need period > 2, got {orbit.period}")
     s = _switch_rank(sigma)
     c = orbit.points[s - 1]
     d = orbit.points[s]
@@ -341,9 +339,9 @@ def analyze_odd_orbit(f: PwlMap, orbit: Orbit) -> OddOrbitTrace:
     """
     sigma = _require_orbit(f, orbit)
     if orbit.period % 2 == 0:
-        raise EvenPeriod(f"need an odd period, got {orbit.period}")
+        raise UnsupportedPeriod(f"need an odd period, got {orbit.period}")
     if orbit.period < 3:
-        raise PeriodTooSmall("need period >= 3")
+        raise UnsupportedPeriod("need period >= 3")
     trace = _analyze_oriented(f, orbit, sigma, mirrored=False)
     if trace is None:
         # x -> lo + hi - x reverses the ranks: sigma'(i) = m + 1 - sigma(m + 1 - i)
@@ -381,7 +379,7 @@ def forcing_cycle(trace: OddOrbitTrace, n: int) -> IntervalLoop:
         )
     elif case is TraceCase.PRE_ESCAPE_AT_UPPER:
         if n != 3:
-            raise UnsupportedPeriodForCase(f"this trace only builds n = 3, not {n}")
+            raise UnsupportedPeriod(f"this trace only builds n = 3, not {n}")
         loop = [Interval(z, pts[s]), straddle_iv, switch_iv]
     else:  # REBOUND_BELOW
         m = trace.period
@@ -407,7 +405,7 @@ def forcing_cycle(trace: OddOrbitTrace, n: int) -> IntervalLoop:
                 + [switch_iv] * (n - k - 2)
             )
         else:
-            raise UnsupportedPeriodForCase(
+            raise UnsupportedPeriod(
                 f"period {n} is neither even nor past {m}; not forced this way"
             )
 
@@ -433,7 +431,7 @@ def witness_from_trace(f: PwlMap, trace: OddOrbitTrace, n: int) -> Fraction:
     certified there.
     """
     if trace.map != (_reflect_map(f) if trace.mirrored else f):
-        raise PreconditionViolated("the trace was not analysed on this map")
+        raise PreconditionError("the trace was not analysed on this map")
     if trace.case.yields_period_three:
         seed = _point_on_cycle(trace.map, forcing_cycle(trace, 3), True)
         y = odd_period_witness(trace.map, orbit_of(trace.map, seed), n)

@@ -548,6 +548,22 @@ class TestContract:
         code, _, err = invoke(capsys, "pattern", "graph", "1>2>2")
         assert code == 2 and err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["pattern", "stefan", "4"], "need an odd period >= 3, got 4"),
+            (["witness", "odd", "--pattern", "1>3>2>4", "--period", "5"],
+             "need an odd period, got 4"),
+            (["witness", "period2", "--pattern", "1>2"], "need period > 2, got 2"),
+            (["witness", "odd", "--pattern", "1>3>4>2>5", "--period", "3"],
+             "period 3 is neither even nor past 5; not forced this way"),
+        ],
+        ids=["stefan-even", "odd-orbit-even", "period2-swap", "odd-not-forced"],
+    )
+    def test_period_refusals_exit_two(self, argv, message, capsys):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_budget_error_exits_three(self, capsys):
         code, _, err = invoke(
             capsys,
@@ -654,6 +670,28 @@ class TestConsoleScript:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
+
+    def test_output_does_not_depend_on_the_hash_seed(self):
+        # set and dict iteration order over str keys changes with the seed
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        queries = [
+            ["tent", "pk", "7"],
+            ["spectrum", "--method", "both", "--pattern", "1>3>4>2>5>7>6", "--upto", "8"],
+            ["witness", "odd", "--json", "--pattern", "1>3>4>2>5", "--period", "6"],
+            ["pattern", "graph", "1>3>2"],
+        ]
+        for argv in queries:
+            outputs = set()
+            for seed in ("0", "1", "4242"):
+                done = subprocess.run(
+                    [sys.executable, "-m", "sharkovsky_lab", *argv],
+                    capture_output=True, text=True, timeout=120,
+                    env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+                )
+                assert (done.returncode, done.stderr) == (0, ""), argv
+                outputs.add(done.stdout)
+            assert len(outputs) == 1, argv
 
     def test_closed_stdout_exits_one_without_a_traceback(self):
         src = os.path.dirname(os.path.dirname(cli.__file__))

@@ -16,15 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sharkovsky_lab import (
-    BadClampBounds,
     CyclicPattern,
     FixedPoints,
     Interval,
+    InvalidMap,
     NoSuchOrbit,
-    NonMonotoneBreakpoints,
     NotAnOrbit,
     NotCovering,
-    NotSelfMap,
     Orbit,
     OutOfDomain,
     PeriodicOrbits,
@@ -105,10 +103,10 @@ def ref_canonical(pairs):
             px, py = out[-1]
             if x == px:
                 if y != py:
-                    raise NonMonotoneBreakpoints(f"two breakpoints share x = {x}")
+                    raise InvalidMap(f"two breakpoints share x = {x}")
                 continue
             if x < px:
-                raise NonMonotoneBreakpoints("breakpoint x-values must increase")
+                raise InvalidMap("breakpoint x-values must increase")
         out.append((x, y))
         while len(out) >= 3:
             (x0, y0), (x1, y1), (x2, y2) = out[-3:]
@@ -117,7 +115,7 @@ def ref_canonical(pairs):
             else:
                 break
     if len(out) < 2:
-        raise NonMonotoneBreakpoints("at least two distinct breakpoints required")
+        raise InvalidMap("at least two distinct breakpoints required")
     return tuple(out)
 
 
@@ -185,7 +183,7 @@ def ref_iterates(f, first, upto, piece_budget):
         pairs = ref_compose(f, pairs, piece_budget)
         for _, y in pairs:
             if not (lo <= y <= hi):
-                raise NotSelfMap(f"value {y} escapes domain [{lo}, {hi}]")
+                raise InvalidMap(f"value {y} escapes domain [{lo}, {hi}]")
         yield pairs
 
 
@@ -396,17 +394,17 @@ class TestConstruction:
         assert f == IDENTITY
 
     def test_non_monotone_rejected(self):
-        with pytest.raises(NonMonotoneBreakpoints):
+        with pytest.raises(InvalidMap, match="breakpoint x-values must increase"):
             PwlMap([(0, 0), (1, 1), (F(1, 2), 0)])
-        with pytest.raises(NonMonotoneBreakpoints):
+        with pytest.raises(InvalidMap, match="two breakpoints share x = 0"):
             PwlMap([(0, 0), (0, 1)])
 
     def test_too_few_breakpoints_rejected(self):
-        with pytest.raises(NonMonotoneBreakpoints):
+        with pytest.raises(InvalidMap, match="at least two distinct breakpoints required"):
             PwlMap([(0, 0)])
 
     def test_escaping_value_rejected(self):
-        with pytest.raises(NotSelfMap):
+        with pytest.raises(InvalidMap, match=r"value 2 escapes domain \[0, 1\]"):
             PwlMap([(0, 0), (1, 2)])
 
     def test_floats_rejected(self):
@@ -507,8 +505,15 @@ class TestIterate:
                 assert f.iterate(n) == reference_iterate(f, n)
 
     def test_invalid_count(self):
-        with pytest.raises(ValueError):
-            TENT.iterate(0)
+        # one refusal of an order k < 1, wherever an iterate f^k is asked for
+        for call in (
+            lambda: TENT.iterate(0),
+            lambda: fixed_points_of_iterate(TENT, 0),
+            lambda: periodic_orbits(TENT, -3),
+            lambda: least_period(TENT, 0, 0),
+        ):
+            with pytest.raises(ValueError, match="iterate order must be >= 1"):
+                call()
 
 
 class TestImageAndCovers:
@@ -1102,11 +1107,11 @@ class TestIntegerKernel:
              "[1/2, 2] outside domain [0, 1]"),
             (lambda: level_set_on(TENT, 0, Interval(F(-1, 2), F(1, 2))), OutOfDomain,
              "cannot restrict to [-1/2, 1/2]"),
-            (lambda: PwlMap([(-1, 0), (F(1, 3), F(7, 5))]), NotSelfMap,
+            (lambda: PwlMap([(-1, 0), (F(1, 3), F(7, 5))]), InvalidMap,
              "value 7/5 escapes domain [-1, 1/3]"),
-            (lambda: PwlMap([(0, 0), (1, 1), (F(1, 2), 0)]), NonMonotoneBreakpoints,
+            (lambda: PwlMap([(0, 0), (1, 1), (F(1, 2), 0)]), InvalidMap,
              "breakpoint x-values must increase"),
-            (lambda: PwlMap([(0, 0), (F(2, 3), 1), (F(2, 3), 0)]), NonMonotoneBreakpoints,
+            (lambda: PwlMap([(0, 0), (F(2, 3), 1), (F(2, 3), 0)]), InvalidMap,
              "two breakpoints share x = 2/3"),
             (lambda: least_period(TENT, F(1, 3), 2), NotAnOrbit,
              "1/3 is not fixed by the 2-th iterate"),
@@ -1273,9 +1278,9 @@ class TestClamp:
         assert THREE_CYCLE.clamp(dom.lo, dom.hi) == THREE_CYCLE
 
     def test_bad_bounds(self):
-        with pytest.raises(BadClampBounds):
+        with pytest.raises(OutOfDomain, match=r"bounds \[3/4, 1/4\] not nested in \[0, 1\]"):
             TENT.clamp(F(3, 4), F(1, 4))
-        with pytest.raises(BadClampBounds):
+        with pytest.raises(OutOfDomain, match=r"bounds \[-1/2, 1\] not nested in \[0, 1\]"):
             TENT.clamp(F(-1, 2), 1)
 
 

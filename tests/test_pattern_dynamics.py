@@ -15,13 +15,12 @@ from sharkovsky_lab import (
     InvalidPattern,
     MarkovGraph,
     NotAWalk,
-    NotOddPeriod,
     PieceBudgetExceeded,
     PwlMap,
+    UnsupportedPeriod,
     WalkBudgetExceeded,
     all_patterns,
     budgets,
-    closed_walks,
     connect_the_dots,
     divisors,
     is_orbit_of,
@@ -183,13 +182,13 @@ def _rotations(walk):
 class TestClosedWalks:
     def test_three_cycle_small_lengths(self):
         graph = markov_graph(THREE_CYCLE)
-        assert closed_walks(graph, 1) == [(2,)]
-        assert closed_walks(graph, 2) == [(1, 2), (2, 2)]
-        assert closed_walks(graph, 3) == [(1, 2, 2), (2, 2, 2)]
+        assert list(iter_closed_walks(graph, 1)) == [(2,)]
+        assert list(iter_closed_walks(graph, 2)) == [(1, 2), (2, 2)]
+        assert list(iter_closed_walks(graph, 3)) == [(1, 2, 2), (2, 2, 2)]
 
     def test_length_one_is_self_loops(self):
         graph = markov_graph(FOUR_SHIFT)
-        assert closed_walks(graph, 1) == [(3,)]
+        assert list(iter_closed_walks(graph, 1)) == [(3,)]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_rotation_classes_match_trace_oracle(self, n):
@@ -197,7 +196,7 @@ class TestClosedWalks:
         # based closed walks, which is the trace of the n-th matrix power
         for pattern in (THREE_CYCLE, FOUR_SHIFT, FOUR_DOUBLING, stefan_pattern(5)):
             graph = markov_graph(pattern)
-            walks = closed_walks(graph, n)
+            walks = list(iter_closed_walks(graph, n))
             assert len(set(walks)) == len(walks)
             assert walks == sorted(walks)
             total = sum(len(_rotations(w)) for w in walks)
@@ -211,7 +210,7 @@ class TestClosedWalks:
     def test_walk_budget(self):
         graph = markov_graph(THREE_CYCLE)
         with budgets(walk=1), pytest.raises(WalkBudgetExceeded):
-            closed_walks(graph, 3)
+            list(iter_closed_walks(graph, 3))
 
     def test_successor_table_is_built_once_per_graph(self):
         class CountedEdges(frozenset):
@@ -224,7 +223,7 @@ class TestClosedWalks:
         plain = markov_graph(stefan_pattern(5))
         graph = MarkovGraph(plain.node_count, CountedEdges(plain.edges))
         for n in (3, 4, 5):
-            assert closed_walks(graph, n) == closed_walks(plain, n)
+            assert list(iter_closed_walks(graph, n)) == list(iter_closed_walks(plain, n))
         for i in range(1, graph.node_count + 1):
             assert graph.successors(i) == sorted(j for a, j in plain.edges if a == i)
             graph.successors(i).clear()  # a caller's copy, not the table
@@ -388,9 +387,9 @@ class TestStefanPatterns:
         assert found > 0
 
     def test_even_period_rejected(self):
-        with pytest.raises(NotOddPeriod):
+        with pytest.raises(UnsupportedPeriod, match="need an odd period >= 3, got 4"):
             stefan_pattern(4)
-        with pytest.raises(NotOddPeriod):
+        with pytest.raises(UnsupportedPeriod, match="need an odd period >= 3, got 4"):
             is_stefan_pattern(FOUR_SHIFT)
 
     def test_seven_patterns_without_smaller_odd_periods_are_spirals(self):

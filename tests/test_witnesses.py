@@ -21,23 +21,21 @@ from sharkovsky_lab import (
     CertificationFailed,
     CrossingCase,
     CyclicPattern,
-    EvenPeriod,
     Interval,
     IntervalLoop,
     NoLeastPeriodWitness,
-    NotACycle,
     NotAnOrbit,
+    NotCovering,
     Orbit,
-    PeriodTooSmall,
-    PreconditionViolated,
+    PreconditionError,
     PwlMap,
     TraceCase,
-    UnsupportedPeriodForCase,
+    UnsupportedPeriod,
     all_patterns,
     analyze_odd_orbit,
-    closed_walks,
     connect_the_dots,
     forcing_cycle,
+    iter_closed_walks,
     least_period,
     loop_to_intervals,
     markov_graph,
@@ -81,7 +79,7 @@ class TestPeriodTwoFromCrossing:
         assert w.point == 0 and NEG(w.point) == 1
 
     def test_identity_violates_precondition(self):
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(PreconditionError, match=r"need f\(d\) <= c < d <= f\(c\)"):
             period_two_from_crossing(IDENTITY, F(1, 4), F(3, 4))
 
     def test_named_points_satisfy_their_equations(self):
@@ -113,7 +111,7 @@ class TestPeriodTwoFromOrbit:
 
     def test_swap_orbit_too_small(self):
         f = connect_the_dots(CyclicPattern((2, 1)))
-        with pytest.raises(PeriodTooSmall):
+        with pytest.raises(UnsupportedPeriod, match="need period > 2, got 2"):
             period_two_from_orbit(f, orbit_of(f, 0))
 
     def test_not_an_orbit(self):
@@ -256,7 +254,7 @@ class TestPeriodicPointFromCycle:
 
     def test_not_a_cycle(self):
         bad = IntervalLoop((Interval(0, F(1, 4)), Interval(F(3, 4), 1)))
-        with pytest.raises(NotACycle):
+        with pytest.raises(NotCovering, match=r"does not cover \[3/4, 1\] at position 0"):
             periodic_point_from_cycle(F3, bad)
 
     def test_no_least_period_witness_on_the_identity(self):
@@ -271,14 +269,12 @@ class TestPeriodicPointFromCycle:
         assert least_period(NEG, y, 2) == 2
 
     def test_walk_witnesses_exist_for_small_patterns(self):
-        from sharkovsky_lab import closed_walks, markov_graph
-
         for m in (2, 3, 4):
             for pattern in all_patterns(m):
                 f = connect_the_dots(pattern)
                 graph = markov_graph(pattern)
                 for n in range(1, 7):
-                    for walk in closed_walks(graph, n):
+                    for walk in iter_closed_walks(graph, n):
                         loop = loop_to_intervals(pattern, walk)
                         y = periodic_point_from_cycle(f, loop)
                         cur = y
@@ -289,8 +285,6 @@ class TestPeriodicPointFromCycle:
 
     def test_walk_witnesses_exist_for_larger_patterns_sampled(self):
         from itertools import islice
-
-        from sharkovsky_lab import iter_closed_walks, markov_graph
 
         for m in (5, 6):
             for pattern in all_patterns(m):
@@ -343,7 +337,7 @@ def reference_point_from_cycle(f, loop, require_least_period=False):
     for i in range(n):
         J, K = loop[i], loop[(i + 1) % n]
         if not f.covers(J, K):
-            raise NotACycle(f"f({J}) does not cover {K} at position {i}")
+            raise NotCovering(f"f({J}) does not cover {K} at position {i}")
     for start in reference_chain_starts(f, loop.intervals):
         fps = fixed_structure_on(f, start, n)
         for y in fps.points:
@@ -367,7 +361,7 @@ def assert_cycle_search_matches_the_reference(f, loop, least):
     for search in (periodic_point_from_cycle, reference_point_from_cycle):
         try:
             outcomes.append(search(f, loop, require_least_period=least))
-        except (NotACycle, NoLeastPeriodWitness, CertificationFailed) as exc:
+        except (NotCovering, NoLeastPeriodWitness, CertificationFailed) as exc:
             outcomes.append((type(exc), str(exc)))
     assert outcomes[0] == outcomes[1]
 
@@ -394,7 +388,7 @@ def lap_aligned_cycles(draw):
         f, laps = IDENTITY, [Interval(0, 1)] * n
     else:
         f = connect_the_dots(pattern)
-        walks = closed_walks(markov_graph(pattern), n)
+        walks = list(iter_closed_walks(markov_graph(pattern), n))
         laps = list(loop_to_intervals(pattern, draw(st.sampled_from(walks))))
     shares = st.fractions(min_value=0, max_value=1, max_denominator=6)
     loop = [laps[0]]
@@ -448,7 +442,7 @@ class TestCycleSearchMatchesTheReference:
     def test_every_closed_walk(self, m, rng, n, least):
         pattern = random_pattern(m, rng)
         f = connect_the_dots(pattern)
-        for walk in closed_walks(markov_graph(pattern), n):
+        for walk in iter_closed_walks(markov_graph(pattern), n):
             loop = loop_to_intervals(pattern, walk)
             assert_cycle_search_matches_the_reference(f, loop, least)
 
@@ -906,11 +900,11 @@ class TestAnalyzeOddOrbit:
 
     def test_even_period_rejected(self):
         f = connect_the_dots(CyclicPattern((2, 3, 4, 1)))
-        with pytest.raises(EvenPeriod):
+        with pytest.raises(UnsupportedPeriod, match="need an odd period, got 4"):
             analyze_odd_orbit(f, orbit_of(f, 0))
 
     def test_fixed_point_orbit_rejected(self):
-        with pytest.raises(PeriodTooSmall):
+        with pytest.raises(UnsupportedPeriod, match="need period >= 3"):
             analyze_odd_orbit(F3, Orbit((F(2, 3),)))
 
     def test_relay_equations(self):
@@ -958,13 +952,13 @@ class TestForcingCycle:
     def test_rebound_below_own_period_unsupported(self):
         f = connect_the_dots(stefan_pattern(5))
         trace = analyze_odd_orbit(f, orbit_of(f, 0))
-        with pytest.raises(UnsupportedPeriodForCase):
+        with pytest.raises(UnsupportedPeriod, match="period 5 is neither even nor past 5"):
             forcing_cycle(trace, 5)
 
     def test_rebound_below_odd_small_unsupported(self):
         f = connect_the_dots(stefan_pattern(7))
         trace = analyze_odd_orbit(f, orbit_of(f, 0))
-        with pytest.raises(UnsupportedPeriodForCase):
+        with pytest.raises(UnsupportedPeriod, match="period 3 is neither even nor past 7"):
             forcing_cycle(trace, 3)
 
     def test_loop_lengths(self):
@@ -988,7 +982,7 @@ class TestForcingCycle:
                 else:
                     lengths = [2, 4, m + 1, m + 2]
                 for n in lengths:
-                    forcing_cycle(trace, n)  # raises NotACycle unless f covers it
+                    forcing_cycle(trace, n)  # raises NotCovering unless f covers it
         assert seen == set(TraceCase)
 
 
@@ -1035,7 +1029,7 @@ class TestOddPeriodWitness:
     def test_witness_from_trace_rejects_a_trace_of_another_map(self):
         f = connect_the_dots(stefan_pattern(5))
         trace = analyze_odd_orbit(F3, ORBIT3)
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(PreconditionError, match="the trace was not analysed on this map"):
             witness_from_trace(f, trace, 4)
 
     def test_reduction_cases_reach_any_period(self):
