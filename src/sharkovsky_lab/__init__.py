@@ -87,7 +87,6 @@ from .tent_constructions import (
     minimal_diameter_orbit,
     narrowest_tent_orbit,
     period_spectrum,
-    realized_spectrum_set,
     t_infinity_level,
     tent_map,
     truncate_at_orbit,

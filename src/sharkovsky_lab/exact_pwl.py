@@ -255,6 +255,8 @@ Breakpoint = tuple[int, int, int, int]
 Pairs = tuple[Breakpoint, ...]
 #: Solutions of f(x) = x: ascending points and identity laps (_fixed_structure).
 Structure = tuple[list[Q], list[tuple[Q, Q]]]
+#: A lap of f as its right end's x and its reduced form (_reduced_laps).
+Lap = tuple[int, int, int, int, int]
 
 
 def _q(value: Fraction) -> Q:
@@ -334,16 +336,49 @@ def _eval_pairs(pairs: Pairs, x: Q) -> Q:
     return _value_at(pairs, _index(pairs, n, d), n, d)
 
 
+def _reduced_laps(pairs: Pairs) -> list[Lap]:
+    """Each lap of f as (xn, xd, p, r, q): its right end's x and its reduced form.
+
+    (p, r, q) is the lap's _lap_form divided by gcd(p, r, q), so q > 0.
+    """
+    laps = []
+    for p0, p1 in _laps(pairs):
+        p, r, q = _lap_form(p0, p1)
+        g = gcd(p, r, q)
+        laps.append((p1[0], p1[1], p // g, r // g, q // g))
+    return laps
+
+
+def _step(laps: list[Lap], n: int, d: int) -> Q:
+    """f(n/d) for a point of f's domain, on f's _reduced_laps.
+
+    The bisection finds the first lap whose right end is not left of the
+    point.  A lap's form is exact at both its ends, so a breakpoint may
+    take the lap it ends as well as the one it starts.
+    """
+    lo, hi = 0, len(laps) - 1
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        lap = laps[mid]
+        if lap[0] * d < n * lap[1]:
+            lo = mid + 1
+        else:
+            hi = mid
+    _, _, p, r, q = laps[lo]
+    num, den = p * n + r * d, q * d
+    g = gcd(num, den)
+    return num // g, den // g
+
+
 def _eval_ascending(pairs: Pairs, xs: list[Q]) -> list[Q]:
-    """f at ascending points of its domain, in one pass over its laps."""
-    forms = [_lap_form(p0, p1) for p0, p1 in _laps(pairs)]
-    forms = [(p // g, r // g, q // g) for p, r, q in forms for g in [gcd(p, r, q)]]
-    values, j, last = [], 0, len(forms) - 1
-    (p, r, q), (en, ed, _, _) = forms[0], pairs[1]  # lap j's form and right end
+    """f at ascending points of its domain, in one pass over its _reduced_laps."""
+    laps = _reduced_laps(pairs)
+    values, j, last = [], 0, len(laps) - 1
+    en, ed, p, r, q = laps[0]  # lap j's right end and form
     for n, d in xs:
         while j < last and en * d < n * ed:  # the point lies right of lap j
             j += 1
-            (p, r, q), (en, ed, _, _) = forms[j], pairs[j + 1]
+            en, ed, p, r, q = laps[j]
         num, den = p * n + r * d, q * d
         g = gcd(num, den)
         values.append((num // g, den // g))
@@ -500,6 +535,22 @@ def _restrict(pairs: Pairs, lo: Q, hi: Q) -> Pairs:
     return _canonical([lo + _value_at(pairs, i, *lo), *pairs[i:j], hi + _value_at(pairs, j, *hi)])
 
 
+def _diagonal_crossing(p0: Breakpoint, p1: Breakpoint, g0: int, g1: int) -> Q:
+    """The x strictly inside the lap from p0 to p1 at which f(x) = x.
+
+    g0 and g1 are f(x) - x at the lap's ends times their denominators,
+    y d - x d' (see _fixed_structure): nonzero, of opposite signs.
+    """
+    (x0n, x0d, _, y0d), (x1n, x1d, _, y1d) = p0, p1
+    # f(x) - x runs affinely from h0 = g0 / (y0d x0d) at x0 to h1 = g1 / (y1d x1d)
+    # at x1, so it vanishes at (x0 h1 - x1 h0) / (h1 - h0); times y0d y1d x0d x1d,
+    # that is (x0n u - x1n v) / (x0d u - x1d v) with u = y0d g1 and v = y1d g0
+    u, v = y0d * g1, y1d * g0
+    num, den = x0n * u - x1n * v, x0d * u - x1d * v
+    g = gcd(num, den)
+    return (num // g, den // g) if den > 0 else (-num // g, -den // g)
+
+
 def _fixed_structure(pairs: Pairs) -> Structure:
     """Solutions of f(x) = x on canonical pairs: ascending points, identity laps.
 
@@ -511,25 +562,21 @@ def _fixed_structure(pairs: Pairs) -> Structure:
     """
     points: list[Q] = []
     identity: list[tuple[Q, Q]] = []
-    (x0n, x0d, y0n, y0d), rest = pairs[0], islice(pairs, 1, None)
+    p0, rest = pairs[0], islice(pairs, 1, None)
+    x0n, x0d, y0n, y0d = p0
     g0 = y0n * x0d - x0n * y0d  # f(x0) - x0 = g0 / (y0d x0d)
-    for x1n, x1d, y1n, y1d in rest:
+    for p1 in rest:
+        x1n, x1d, y1n, y1d = p1
         g1 = y1n * x1d - x1n * y1d
         if g0 == 0:
-            points.append((x0n, x0d))
+            points.append(p0[:2])
             if g1 == 0:
-                identity.append(((x0n, x0d), (x1n, x1d)))
+                identity.append((p0[:2], (x1n, x1d)))
         elif g1 != 0 and (g0 < 0) != (g1 < 0):
-            # f(x) - x runs affinely from h0 = g0 / (y0d x0d) at x0 to h1 = g1 / (y1d x1d)
-            # at x1, so it vanishes at (x0 h1 - x1 h0) / (h1 - h0); times y0d y1d x0d x1d,
-            # that is (x0n u - x1n v) / (x0d u - x1d v) with u = y0d g1 and v = y1d g0
-            u, v = y0d * g1, y1d * g0
-            num, den = x0n * u - x1n * v, x0d * u - x1d * v
-            g = gcd(num, den)
-            points.append((num // g, den // g) if den > 0 else (-num // g, -den // g))
-        x0n, x0d, y0d, g0 = x1n, x1d, y1d, g1
+            points.append(_diagonal_crossing(p0, p1, g0, g1))
+        p0, g0 = p1, g1
     if g0 == 0:
-        points.append((x0n, x0d))
+        points.append(p0[:2])
     return points, identity
 
 
@@ -1031,32 +1078,62 @@ def is_orbit_of(f: PwlMap, orbit: Orbit) -> bool:
 def highest_orbit_below(f: PwlMap, k: int, c: RationalLike) -> Optional[Orbit]:
     """Among f's least-period-k orbits with minimum below c, the one of highest minimum.
 
-    None when there is none.  f^k is composed whole, then solved only on
-    its laps left of c, and f is walked from each solution below c,
-    highest first.  The answer is the first walk that returns after
-    exactly k steps without going below its start: an exact orbit walk
-    from its minimum.  The minimum of each orbit below c is such a
-    solution, and every higher one was walked and rejected.
+    None when there is none.  f^k is composed whole, then solved one lap
+    at a time from the lap holding c downward, and f is walked from each
+    solution below c as it comes, on f's laps reduced once.  The answer is
+    the first walk that returns after exactly k steps without going below
+    its start: an exact orbit walk from its minimum.  The minimum of each
+    orbit below c is such a solution, and every higher one was walked and
+    rejected, so the laps below the answer are never solved.
     Raises PreconditionError when f^k has an identity lap left of c,
-    whose points form a continuum.
+    whose points form a continuum: one pass over the breakpoints left of
+    c looks for two adjacent ones on the diagonal, before any walk.
     """
-    _require_order(k)
     c = as_fraction(c)
     cq = _q(c)
     g = f.iterate(k)._pairs
-    points, laps = _fixed_structure(g[: _locate(g, *cq) + 1])  # the laps up to c
-    if laps and not _le(cq, laps[0][0]):
+    below = _locate(g, *cq)  # the breakpoints at or left of c
+    if below and g[below - 1][:2] == cq:
+        below -= 1  # now those strictly left of c
+    # the breakpoints on the diagonal up to c's lap; two adjacent ones bound an identity lap
+    on = [i for i, p in enumerate(islice(g, below + 1)) if p[0] == p[2] and p[1] == p[3]]
+    if any(j - i == 1 for i, j in zip(on, islice(on, 1, None))):
         raise PreconditionError(f"f^{k} is the identity on a lap left of {c}")
-    for y in reversed(points):
-        if _le(cq, y):
-            continue
-        walk, cur = [y], _eval_pairs(f._pairs, y)
-        while cur != y and len(walk) < k and _le(y, cur):
-            walk.append(cur)
-            cur = _eval_pairs(f._pairs, cur)
-        if cur == y and len(walk) == k:
+    laps = _reduced_laps(f._pairs)
+    for y in _solutions_below(g, below, cq):
+        yn, yd = y
+        walk, (n, d) = [y], _step(laps, yn, yd)
+        # until the walk returns to y, reaches k points or goes below y
+        while (n != yn or d != yd) and len(walk) < k and yn * d <= n * yd:
+            walk.append((n, d))
+            n, d = _step(laps, n, d)
+        if n == yn and d == yd and len(walk) == k:
             return Orbit._of(tuple(sorted(walk, key=_sort_key(walk))))
     return None
+
+
+def _solutions_below(pairs: Pairs, below: int, c: Q) -> Iterator[Q]:
+    """The solutions of f(x) = x below c, descending, solved one lap at a time.
+
+    ``below`` counts the breakpoints left of c, and no lap starting at one
+    of them is an identity lap.  Lap i from x_i to x_(i+1) yields its
+    crossing inside (x_i, x_(i+1)) when that lies below c, then x_i when
+    f fixes it; the last breakpoint has no lap and yields only itself.
+    """
+    g1 = 0  # f(x) - x at the lap's right end, as in _fixed_structure; 0 past the last
+    if below < len(pairs):
+        xn, xd, yn, yd = pairs[below]
+        g1 = yn * xd - xn * yd
+    for i in range(below - 1, -1, -1):
+        x0n, x0d, y0n, y0d = p0 = pairs[i]
+        g0 = y0n * x0d - x0n * y0d
+        if g0 != 0 and g1 != 0 and (g0 < 0) != (g1 < 0):
+            root = _diagonal_crossing(p0, pairs[i + 1], g0, g1)
+            if not _le(c, root):
+                yield root
+        if g0 == 0:
+            yield p0[:2]
+        g1 = g0
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,8 @@ def narrowest_tent_orbit(f: PwlMap, k: int) -> Orbit:
 
     f is the tent T, or a clamp of it whose least-period-k orbits T permutes
     (each level of :func:`doubling_chain`).  The answer is f's period-k orbit
-    of highest minimum below 1/2 (:func:`highest_orbit_below`), by this lemma.
+    of highest minimum below 2/5, or below 1/2 for k <= 2
+    (:func:`highest_orbit_below`), by this lemma.
 
     Let O be a T-orbit of least period at least 2, with minimum m and
     maximum M.  Then m > 0, since 0 is fixed.  Let y in O map to m.  If
@@ -60,12 +61,15 @@ def narrowest_tent_orbit(f: PwlMap, k: int) -> Orbit:
     diam O = 1 - 3m/2.  And m < 1/2: on [1/2, 1], T is x -> 2 - 2x, whose n-th iterate is
     x -> 2/3 + (-2)^n (x - 2/3), so its only periodic point is the fixed 2/3.
     So the narrowest period-k orbit has the highest minimum, below 1/2, and
-    it is unique, since two orbits with one minimum are one orbit.  For
-    k = 1 the only solution below 1/2 is 0, the census's tie-break answer.
+    it is unique, since two orbits with one minimum are one orbit.  Sharper:
+    T(m) = 2m lies in O, so 2m <= M = 1 - m/2, and m <= 2/5.  Equality
+    makes T(m) = M and T(M) = m, the period-2 orbit {2/5, 4/5}; so for
+    k > 2 every period-k minimum lies below 2/5.  For k = 1 the only
+    solution below 1/2 is 0, the census's tie-break answer.
     The slopes of T and of its clamps are 0 and +-2, so no iterate has an
     identity lap, and the search never refuses.
     """
-    orbit = highest_orbit_below(f, k, Fraction(1, 2))
+    orbit = highest_orbit_below(f, k, Fraction(2, 5) if k > 2 else Fraction(1, 2))
     if orbit is None:
         raise NoSuchOrbit(f"no least-period-{k} orbit of the map")
     return orbit
@@ -124,11 +128,6 @@ def period_spectrum(f: PwlMap, upto: int) -> list[SpectrumEntry]:
         SpectrumEntry(k, len(c.orbits), bool(c.continuum))
         for k, c in enumerate(censuses, start=1)
     ]
-
-
-def realized_spectrum_set(entries: list[SpectrumEntry]) -> set[int]:
-    """Periods with at least one orbit (isolated or continuum)."""
-    return {e.period for e in entries if e.orbit_count > 0 or e.continuum}
 
 
 @dataclass(frozen=True)

@@ -354,8 +354,13 @@ class TestTent:
 
     @pytest.mark.parametrize("k", ["0", "-3"])
     def test_pk_below_one_is_refused_before_composing(self, capsys, monkeypatch, k):
-        def refuse(*args):
-            raise AssertionError("the order is checked before anything is composed")
+        # iterate's own check refuses k < 1; any order it would compose fails here
+        real = exact_pwl.PwlMap.iterate
+
+        def refuse(f, n):
+            if n >= 1:
+                raise AssertionError("the order is checked before anything is composed")
+            return real(f, n)
 
         monkeypatch.setattr(exact_pwl.PwlMap, "iterate", refuse)
         code, out, err = invoke(capsys, "tent", "pk", k)

@@ -971,6 +971,17 @@ class TestIntegerKernel:
         pointwise = [exact_pwl._eval_pairs(f._pairs, q) for q in qs]
         assert exact_pwl._eval_ascending(f._pairs, qs) == pointwise
 
+    @settings(max_examples=300, deadline=None)
+    @given(general_maps(), st.lists(st.fractions(0, 1, max_denominator=10**6), max_size=9))
+    def test_a_reduced_lap_step_matches_the_pointwise_evaluation(self, f, shares):
+        # the walks of highest_orbit_below step on f's laps reduced once
+        dom = f.domain
+        xs = {dom.lo + dom.length * t for t in shares} | {x for x, _ in f.breakpoints}
+        laps = exact_pwl._reduced_laps(f._pairs)
+        for x in xs:
+            q = (x.numerator, x.denominator)
+            assert exact_pwl._step(laps, *q) == exact_pwl._eval_pairs(f._pairs, q)
+
     @settings(max_examples=150, deadline=None)
     @given(maps_and_windows(), st.integers(min_value=1, max_value=4), st.booleans())
     def test_every_iterate_takes_values_in_the_domain(self, case, n, whole):
@@ -1962,10 +1973,27 @@ class TestHighestOrbitBelow:
         assert highest_orbit_below(NEG, 1, F(1, 2)) is None  # 1/2 is not below 1/2
         assert list(highest_orbit_below(NEG, 1, 1)) == [F(1, 2)]
 
+    def test_an_identity_lap_far_below_the_answer_is_refused(self):
+        # f swaps the ends of [0, 1/4], so f^2 is the identity there; the
+        # 2-cycle {43/76, 16/19} lies far above it, and the refusal still stands
+        f = PwlMap([(0, F(1, 4)), (F(1, 4), 0), (F(5, 8), 1), (1, F(1, 4))])
+        census = periodic_orbits(f, 2)
+        assert census.continuum == (Interval(0, F(1, 4)),)
+        assert list(census[-1]) == [F(43, 76), F(16, 19)]
+        with pytest.raises(PreconditionError, match="identity on a lap left of 1"):
+            highest_orbit_below(f, 2, 1)
+        with pytest.raises(PreconditionError):
+            reference_highest_orbit_below(f, 2, 1)
+
     @pytest.mark.parametrize("k", [0, -3])
     def test_the_order_is_checked_before_composing(self, k, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("nothing is composed")
+        # iterate's own check refuses k < 1; any order it would compose fails here
+        real = PwlMap.iterate
+
+        def refuse(f, n):
+            if n >= 1:
+                raise AssertionError("nothing is composed")
+            return real(f, n)
 
         monkeypatch.setattr(PwlMap, "iterate", refuse)
         with pytest.raises(ValueError, match="iterate order must be >= 1"):

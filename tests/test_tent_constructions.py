@@ -12,13 +12,13 @@ from sharkovsky_lab import (
     PwlMap,
     doubling_chain,
     forced_periods_upto,
+    highest_orbit_below,
     is_orbit_of,
     minimal_diameter_orbit,
     narrowest_tent_orbit,
     orbit_of,
     period_spectrum,
     periodic_orbits,
-    realized_spectrum_set,
     t_infinity_level,
     tent_map,
     truncate_at_orbit,
@@ -69,6 +69,30 @@ class TestNarrowestTentOrbit:
         orbit = narrowest_tent_orbit(TENT, k)
         assert orbit.minimum < F(1, 2) < orbit.maximum
         assert orbit.minimum == 2 - 2 * orbit.maximum == TENT(orbit.maximum)
+
+    @pytest.mark.parametrize("k", range(2, 17))
+    def test_the_minimum_is_at_most_two_fifths(self, k):
+        # T(min) = 2 min lies in the orbit, so 2 min <= max = 1 - min / 2;
+        # equality makes the orbit {2/5, 4/5}
+        minimum = narrowest_tent_orbit(TENT, k).minimum
+        assert minimum <= F(2, 5)
+        assert (minimum == F(2, 5)) == (k == 2)
+
+    @pytest.mark.parametrize("k", range(3, 17))
+    def test_the_search_below_two_fifths_is_the_search_below_one_half(self, k):
+        assert highest_orbit_below(TENT, k, F(2, 5)) == highest_orbit_below(TENT, k, F(1, 2))
+
+    def test_each_chain_clamp_searches_below_two_fifths_alike(self):
+        # the clamp at a level of period k permutes its period-2k orbits as T does
+        levels = doubling_chain(4).levels
+        for prev, level in zip(levels, levels[1:]):
+            g = truncate_at_orbit(TENT, prev).map
+            k = 2 * prev.period
+            assert highest_orbit_below(g, k, F(2, 5)) == level
+            assert highest_orbit_below(g, k, F(1, 2)) == level
+        g = truncate_at_orbit(TENT, levels[-1]).map
+        below = highest_orbit_below(g, 96, F(2, 5))
+        assert below is not None and below == highest_orbit_below(g, 96, F(1, 2))
 
     def test_chain_levels_equal_the_census_on_each_truncation(self):
         chain = doubling_chain(5)
@@ -133,13 +157,15 @@ class TestPeriodSpectrum:
 
     def test_realized_set_of_a_truncation_is_the_forcing_tail(self):
         trunc = truncate_at_orbit(TENT, minimal_diameter_orbit(TENT, 5))
-        realized = realized_spectrum_set(period_spectrum(trunc.map, 10))
-        assert sorted(realized) == forced_periods_upto(5, 10)
+        entries = period_spectrum(trunc.map, 10)
+        realized = [e.period for e in entries if e.orbit_count or e.continuum]
+        assert realized == forced_periods_upto(5, 10)
 
     def test_truncation_tail_for_period_seven(self):
         trunc = truncate_at_orbit(TENT, minimal_diameter_orbit(TENT, 7))
-        realized = realized_spectrum_set(period_spectrum(trunc.map, 10))
-        assert sorted(realized) == forced_periods_upto(7, 10)
+        entries = period_spectrum(trunc.map, 10)
+        realized = [e.period for e in entries if e.orbit_count or e.continuum]
+        assert realized == forced_periods_upto(7, 10)
         entries = period_spectrum(trunc.map, 7)
         assert entries[6].orbit_count == 1
 
@@ -203,4 +229,5 @@ class TestDoublingChain:
         for j in (3, 5, 7):
             assert counts[j] == 0
         assert not any(e.continuum for e in entries)
-        assert sorted(realized_spectrum_set(entries)) == forced_periods_upto(6, 8)
+        realized = [e.period for e in entries if e.orbit_count or e.continuum]
+        assert realized == forced_periods_upto(6, 8)
